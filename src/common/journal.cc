@@ -1,7 +1,6 @@
 #include "journal.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/logging.hh"
 #include "common/trace.hh"
@@ -21,23 +20,9 @@ txOutcomeName(TxOutcome o)
     return "?";
 }
 
-namespace
-{
-
-/** Site key: fn/block/instr packed into 20-bit fields (-1 saturates). */
-std::uint64_t
-siteKey(std::int32_t fn, std::int32_t block, std::int32_t instr)
-{
-    const auto f = [](std::int32_t v) {
-        return std::uint64_t(std::uint32_t(v)) & 0xFFFFFu;
-    };
-    return (f(fn) << 40) | (f(block) << 20) | f(instr);
-}
-
-} // namespace
-
-TxJournal::TxJournal(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(capacity, 1))
+TxJournal::TxJournal(std::size_t capacity, SiteNames names)
+    : capacity_(std::max<std::size_t>(capacity, 1)),
+      names_(std::move(names))
 {
     // The ring grows lazily up to capacity_: short runs never pay for
     // the full allocation, long runs allocate exactly once each.
@@ -135,41 +120,19 @@ TxJournal::at(std::size_t i) const
 std::vector<const TxJournal::SiteStats *>
 TxJournal::sitesByAborts() const
 {
-    std::vector<const SiteStats *> out;
-    out.reserve(sites_.size());
-    for (const auto &kv : sites_)
-        out.push_back(&kv.second);
-    std::sort(out.begin(), out.end(),
-              [](const SiteStats *a, const SiteStats *b) {
-                  const std::uint64_t aa = a->totalAborts();
-                  const std::uint64_t bb = b->totalAborts();
-                  if (aa != bb)
-                      return aa > bb;
-                  return siteKey(a->fn, a->block, a->instr) <
-                         siteKey(b->fn, b->block, b->instr);
-              });
-    return out;
+    return rankSites(sites_, [](const SiteStats &a, const SiteStats &b) {
+        return a.totalAborts() > b.totalAborts();
+    });
 }
 
 std::vector<const TxJournal::SiteStats *>
 TxJournal::sitesByCyclesLost() const
 {
-    std::vector<const SiteStats *> out;
-    out.reserve(sites_.size());
-    for (const auto &kv : sites_)
-        out.push_back(&kv.second);
-    std::sort(out.begin(), out.end(),
-              [](const SiteStats *a, const SiteStats *b) {
-                  if (a->cyclesLostToAborts != b->cyclesLostToAborts)
-                      return a->cyclesLostToAborts > b->cyclesLostToAborts;
-                  const std::uint64_t aa = a->totalAborts();
-                  const std::uint64_t bb = b->totalAborts();
-                  if (aa != bb)
-                      return aa > bb;
-                  return siteKey(a->fn, a->block, a->instr) <
-                         siteKey(b->fn, b->block, b->instr);
-              });
-    return out;
+    return rankSites(sites_, [](const SiteStats &a, const SiteStats &b) {
+        if (a.cyclesLostToAborts != b.cyclesLostToAborts)
+            return a.cyclesLostToAborts > b.cyclesLostToAborts;
+        return a.totalAborts() > b.totalAborts();
+    });
 }
 
 std::vector<IntervalSample>
@@ -226,27 +189,6 @@ TxJournal::sampleIntervals(Cycle window) const
         }
     }
     return out;
-}
-
-void
-TxJournal::setFunctionNames(std::vector<std::string> names)
-{
-    fnNames_ = std::move(names);
-}
-
-std::string
-TxJournal::siteName(std::int32_t fn, std::int32_t block,
-                    std::int32_t instr) const
-{
-    if (fn < 0)
-        return "(unknown)";
-    std::ostringstream os;
-    if (std::size_t(fn) < fnNames_.size())
-        os << fnNames_[std::size_t(fn)];
-    else
-        os << "fn" << fn;
-    os << ":" << block << ":" << instr;
-    return os.str();
 }
 
 } // namespace hintm

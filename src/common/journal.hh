@@ -20,10 +20,10 @@
 #define HINTM_COMMON_JOURNAL_HH
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/tx_site.hh"
 #include "common/types.hh"
 
 namespace hintm
@@ -74,6 +74,17 @@ struct TxRecord
 
 static_assert(sizeof(TxRecord) <= 64, "TxRecord grew past a cache block");
 
+/** Sum of a per-reason abort-count array. */
+template <std::size_t N>
+std::uint64_t
+sumAborts(const std::uint64_t (&aborts)[N])
+{
+    std::uint64_t n = 0;
+    for (std::uint64_t a : aborts)
+        n += a;
+    return n;
+}
+
 /** One fixed-cycle window of the interval sampler. */
 struct IntervalSample
 {
@@ -89,14 +100,7 @@ struct IntervalSample
     /** Cycles of this window during which the fallback lock was held. */
     Cycle fallbackCycles = 0;
 
-    std::uint64_t
-    totalAborts() const
-    {
-        std::uint64_t n = 0;
-        for (auto a : aborts)
-            n += a;
-        return n;
-    }
+    std::uint64_t totalAborts() const { return sumAborts(aborts); }
 
     double
     meanFootprint() const
@@ -118,7 +122,8 @@ class TxJournal
     /** Distinct offending blocks kept per site before saturating. */
     static constexpr unsigned hotBlockCap = 32;
 
-    explicit TxJournal(std::size_t capacity = 1u << 16);
+    explicit TxJournal(std::size_t capacity = 1u << 16,
+                       SiteNames names = {});
 
     void push(const TxRecord &r);
 
@@ -143,14 +148,7 @@ class TxJournal
         /** end - begin summed over aborted attempts. */
         std::uint64_t cyclesLostToAborts = 0;
 
-        std::uint64_t
-        totalAborts() const
-        {
-            std::uint64_t n = 0;
-            for (auto a : aborts)
-                n += a;
-            return n;
-        }
+        std::uint64_t totalAborts() const { return sumAborts(aborts); }
 
         std::uint64_t
         committedAttempts() const
@@ -190,14 +188,7 @@ class TxJournal
          * is a lower bound for this site. */
         bool hotBlocksSaturated = false;
 
-        std::uint64_t
-        totalAborts() const
-        {
-            std::uint64_t n = 0;
-            for (auto a : aborts)
-                n += a;
-            return n;
-        }
+        std::uint64_t totalAborts() const { return sumAborts(aborts); }
     };
 
     const std::unordered_map<std::uint64_t, SiteStats> &sites() const
@@ -224,17 +215,9 @@ class TxJournal
      */
     std::vector<IntervalSample> sampleIntervals(Cycle window) const;
 
-    /** Function names indexed by TxRecord::fn, for site rendering. The
-     * sim layer fills this from the module at machine teardown. */
-    void setFunctionNames(std::vector<std::string> names);
-    const std::vector<std::string> &functionNames() const
-    {
-        return fnNames_;
-    }
-
-    /** "funcName:block:instr" (or "(unknown)" for fn < 0). */
-    std::string siteName(std::int32_t fn, std::int32_t block,
-                         std::int32_t instr) const;
+    /** Renders TxRecord sites; the sim layer passes the module's
+     * function names at construction. */
+    const SiteNames &names() const { return names_; }
 
   private:
     std::size_t capacity_;
@@ -242,7 +225,7 @@ class TxJournal
     std::uint64_t pushed_ = 0;
     Totals totals_;
     std::unordered_map<std::uint64_t, SiteStats> sites_;
-    std::vector<std::string> fnNames_;
+    SiteNames names_;
 };
 
 } // namespace hintm

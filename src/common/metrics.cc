@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <sstream>
 
 #include "common/logging.hh"
 
@@ -79,23 +78,6 @@ TimeSeries::addSpan(Cycle begin, Cycle end)
     }
 }
 
-namespace
-{
-
-/** Same packing as the journal's site key: 20-bit fields, -1
- * saturates. Keeping the two layers key-compatible lets the report
- * tool join journal SiteStats with SiteMetrics by id. */
-std::uint64_t
-siteKey(std::int32_t fn, std::int32_t block, std::int32_t instr)
-{
-    const auto f = [](std::int32_t v) {
-        return std::uint64_t(std::uint32_t(v)) & 0xFFFFFu;
-    };
-    return (f(fn) << 40) | (f(block) << 20) | f(instr);
-}
-
-} // namespace
-
 void
 MetricsRegistry::beginTx(TxMetricsCtx &m, Cycle now, std::int32_t fn,
                          std::int32_t block, std::int32_t instr)
@@ -122,55 +104,7 @@ constexpr std::uint64_t accessBytes = 8;
 
 } // namespace
 
-void
-MetricsRegistry::closeCommit(TxMetricsCtx &m, bool hint_saved)
-{
-    HINTM_ASSERT(m.open, "closing a metrics ctx that is not open");
-    SiteMetrics &s = site(m.fn, m.block, m.instr);
-    ++s.commits;
-    const std::uint64_t tracked = m.readBlocks + m.writeBlocks;
-    s.peakTrackedSum += tracked;
-    s.peakTrackedMax = std::max(s.peakTrackedMax, tracked);
-    trackedAtCommit.add(tracked);
-    if (hint_saved) {
-        ++s.hintSavedCommits;
-        ++hintSavedCommits;
-    }
-    s.skipStatic += m.skipStatic;
-    s.skipDyn += m.skipDyn;
-    s.skipAnnot += m.skipAnnot;
-    s.skippedBlocksSum += m.skips.size();
-    s.skippedBytes +=
-        (m.skipStatic + m.skipDyn + m.skipAnnot) * accessBytes;
-    skipStaticAccesses += m.skipStatic;
-    skipDynAccesses += m.skipDyn;
-    skipAnnotAccesses += m.skipAnnot;
-    m.open = false;
-}
-
-void
-MetricsRegistry::closeCapacityAbort(TxMetricsCtx &m,
-                                    std::uint64_t tracked)
-{
-    HINTM_ASSERT(m.open, "closing a metrics ctx that is not open");
-    SiteMetrics &s = site(m.fn, m.block, m.instr);
-    ++s.capacityAborts;
-    ++capacityAborts;
-    s.trackedAtCapacitySum += tracked;
-    trackedAtCapacityAbort.add(tracked);
-    s.skipStatic += m.skipStatic;
-    s.skipDyn += m.skipDyn;
-    s.skipAnnot += m.skipAnnot;
-    s.skippedBlocksSum += m.skips.size();
-    s.skippedBytes +=
-        (m.skipStatic + m.skipDyn + m.skipAnnot) * accessBytes;
-    skipStaticAccesses += m.skipStatic;
-    skipDynAccesses += m.skipDyn;
-    skipAnnotAccesses += m.skipAnnot;
-    m.open = false;
-}
-
-void
+MetricsRegistry::SiteMetrics &
 MetricsRegistry::closeOther(TxMetricsCtx &m)
 {
     HINTM_ASSERT(m.open, "closing a metrics ctx that is not open");
@@ -185,6 +119,33 @@ MetricsRegistry::closeOther(TxMetricsCtx &m)
     skipDynAccesses += m.skipDyn;
     skipAnnotAccesses += m.skipAnnot;
     m.open = false;
+    return s;
+}
+
+void
+MetricsRegistry::closeCommit(TxMetricsCtx &m, bool hint_saved)
+{
+    SiteMetrics &s = closeOther(m);
+    ++s.commits;
+    const std::uint64_t tracked = m.readBlocks + m.writeBlocks;
+    s.peakTrackedSum += tracked;
+    s.peakTrackedMax = std::max(s.peakTrackedMax, tracked);
+    trackedAtCommit.add(tracked);
+    if (hint_saved) {
+        ++s.hintSavedCommits;
+        ++hintSavedCommits;
+    }
+}
+
+void
+MetricsRegistry::closeCapacityAbort(TxMetricsCtx &m,
+                                    std::uint64_t tracked)
+{
+    SiteMetrics &s = closeOther(m);
+    ++s.capacityAborts;
+    ++capacityAborts;
+    s.trackedAtCapacitySum += tracked;
+    trackedAtCapacityAbort.add(tracked);
 }
 
 void
@@ -214,41 +175,11 @@ MetricsRegistry::site(std::int32_t fn, std::int32_t block,
 std::vector<const MetricsRegistry::SiteMetrics *>
 MetricsRegistry::sitesByPressure() const
 {
-    std::vector<const SiteMetrics *> out;
-    out.reserve(sites_.size());
-    for (const auto &kv : sites_)
-        out.push_back(&kv.second);
-    std::sort(out.begin(), out.end(),
-              [](const SiteMetrics *a, const SiteMetrics *b) {
-                  if (a->capacityAborts != b->capacityAborts)
-                      return a->capacityAborts > b->capacityAborts;
-                  if (a->peakTrackedMax != b->peakTrackedMax)
-                      return a->peakTrackedMax > b->peakTrackedMax;
-                  return siteKey(a->fn, a->block, a->instr) <
-                         siteKey(b->fn, b->block, b->instr);
-              });
-    return out;
-}
-
-void
-MetricsRegistry::setFunctionNames(std::vector<std::string> names)
-{
-    fnNames_ = std::move(names);
-}
-
-std::string
-MetricsRegistry::siteName(std::int32_t fn, std::int32_t block,
-                          std::int32_t instr) const
-{
-    if (fn < 0)
-        return "(unknown)";
-    std::ostringstream os;
-    if (std::size_t(fn) < fnNames_.size())
-        os << fnNames_[std::size_t(fn)];
-    else
-        os << "fn" << fn;
-    os << ":" << block << ":" << instr;
-    return os.str();
+    return rankSites(sites_, [](const SiteMetrics &a, const SiteMetrics &b) {
+        if (a.capacityAborts != b.capacityAborts)
+            return a.capacityAborts > b.capacityAborts;
+        return a.peakTrackedMax > b.peakTrackedMax;
+    });
 }
 
 void

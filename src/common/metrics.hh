@@ -24,14 +24,23 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
-#include "common/flat_set.hh"
+#include "common/tx_site.hh"
 #include "common/types.hh"
 
 namespace hintm
 {
+
+/** How a transactional access was classified: tracked by the HTM
+ * (None), or skipped under a safe hint from the named source. */
+enum class SafeHint : std::uint8_t
+{
+    None,
+    Static,
+    Dynamic,
+    Annotation,
+};
 
 /**
  * Fixed-size histogram over power-of-two buckets: bucket 0 holds the
@@ -201,8 +210,9 @@ class EpochAddrSet
 
 /**
  * Per-context scratch state for the transaction currently being
- * measured. Lives in the machine's context state (and its snapshot) so
- * a mid-TX snapshot/restore resumes the measurement exactly.
+ * measured. Lives in the observers' per-context state (and so in every
+ * snapshot) so a mid-TX snapshot/restore resumes the measurement
+ * exactly.
  */
 struct TxMetricsCtx
 {
@@ -223,9 +233,6 @@ struct TxMetricsCtx
      * dominant pattern in the workloads' sequential scans). */
     Addr lastSkip = ~Addr(0);
     Cycle beginCycle = 0;
-    /** Fallback-lock acquisition cycle, when lockHeld. */
-    Cycle lockAcquiredAt = 0;
-    bool lockHeld = false;
     /** A hardware TX attempt is being measured. */
     bool open = false;
     /** Next growth milestone index per direction (see
@@ -245,6 +252,12 @@ struct TxMetricsCtx
 class MetricsRegistry
 {
   public:
+    /** @p names renders SiteMetrics sites. */
+    explicit MetricsRegistry(SiteNames names = {})
+        : names_(std::move(names))
+    {
+    }
+
     /** Growth milestones: 2^0 .. 2^16 distinct tracked blocks. */
     static constexpr unsigned numMilestones = 17;
 
@@ -253,14 +266,6 @@ class MetricsRegistry
     {
         return std::uint64_t(1) << k;
     }
-
-    /** Safe-hint classification source of a skipped access. */
-    enum class SkipKind : std::uint8_t
-    {
-        Static,
-        Dynamic,
-        Annotation,
-    };
 
     /** Exact per-TX-site capacity/hint aggregates. */
     struct SiteMetrics
@@ -334,18 +339,21 @@ class MetricsRegistry
         }
     }
 
-    /** A safe-hinted access to @p block_addr skipped tracking. */
+    /** An access to @p block_addr skipped tracking under @p hint (a
+     * tracked access, hint None, is not a skip). */
     void
-    onSafeSkip(TxMetricsCtx &m, Addr block_addr, SkipKind kind)
+    onSafeSkip(TxMetricsCtx &m, Addr block_addr, SafeHint hint)
     {
-        switch (kind) {
-          case SkipKind::Static:
+        switch (hint) {
+          case SafeHint::None:
+            return;
+          case SafeHint::Static:
             ++m.skipStatic;
             break;
-          case SkipKind::Dynamic:
+          case SafeHint::Dynamic:
             ++m.skipDyn;
             break;
-          case SkipKind::Annotation:
+          case SafeHint::Annotation:
             ++m.skipAnnot;
             break;
         }
@@ -365,8 +373,9 @@ class MetricsRegistry
     void closeCapacityAbort(TxMetricsCtx &m, std::uint64_t tracked);
 
     /** Close the open attempt for any other outcome (conflict abort,
-     * conversion, ...): hint-exclusion accounting still folds. */
-    void closeOther(TxMetricsCtx &m);
+     * conversion, ...): hint-exclusion accounting still folds. Every
+     * close folds through here. @return the attempt's site. */
+    SiteMetrics &closeOther(TxMetricsCtx &m);
 
     /** One valid line of the overflowing cache set, classified. */
     void recordOverflowLine(bool tracked, bool safe_skipped);
@@ -389,13 +398,7 @@ class MetricsRegistry
      * peak tracked footprint desc, then site id. */
     std::vector<const SiteMetrics *> sitesByPressure() const;
 
-    void setFunctionNames(std::vector<std::string> names);
-    const std::vector<std::string> &functionNames() const
-    {
-        return fnNames_;
-    }
-    std::string siteName(std::int32_t fn, std::int32_t block,
-                         std::int32_t instr) const;
+    const SiteNames &names() const { return names_; }
 
     // ---- NUMA traffic matrix ----------------------------------------
 
@@ -450,7 +453,7 @@ class MetricsRegistry
 
   private:
     std::map<std::uint64_t, SiteMetrics> sites_;
-    std::vector<std::string> fnNames_;
+    SiteNames names_;
     unsigned numaNodes_ = 0;
     std::vector<std::uint64_t> numaMatrix_;
 };

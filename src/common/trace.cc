@@ -17,7 +17,7 @@ constexpr unsigned numCategories =
     unsigned(Category::NumCategories);
 
 const char *const categoryNames[numCategories] = {
-    "tx", "htm", "vm", "mem", "sched", "journal",
+    "tx", "vm", "sched", "journal",
 };
 
 /** Strip leading/trailing whitespace from a spec token. */

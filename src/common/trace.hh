@@ -24,11 +24,9 @@ namespace trace
 /** Trace categories (keep names in category_names in trace.cc). */
 enum class Category : unsigned
 {
-    Tx,      ///< begin / commit / abort / fallback
-    Htm,     ///< tracking decisions, conflicts
-    Vm,      ///< page transitions, shootdowns, annotations
-    Mem,     ///< misses, evictions
-    Sched,   ///< context scheduling, barriers
+    Tx,      ///< begin / commit / abort / fallback lock / conversion
+    Vm,      ///< page transitions and their shootdowns
+    Sched,   ///< barrier releases
     Journal, ///< TX-journal ring drops and end-of-run flushes
     NumCategories,
 };

@@ -155,7 +155,7 @@ emitMetrics(std::ostream &os, const MetricsRegistry &m)
             os << ",";
         char buf[32];
         os << "{\"site\":\""
-           << jsonEscape(m.siteName(s.fn, s.block, s.instr))
+           << jsonEscape(m.names().siteName(s.fn, s.block, s.instr))
            << "\",\"commits\":" << s.commits
            << ",\"capacity_aborts\":" << s.capacityAborts
            << ",\"hint_saved_commits\":" << s.hintSavedCommits
@@ -231,7 +231,7 @@ writePerfettoTrace(std::ostream &os, const std::vector<JournalRun> &runs)
             os << "{\"ph\":\"X\",\"pid\":" << pid << ",\"tid\":" << r.ctx
                << ",\"ts\":" << r.begin << ",\"dur\":" << dur
                << ",\"name\":\""
-               << jsonEscape(j.siteName(r.fn, r.block, r.instr))
+               << jsonEscape(j.names().siteName(r.fn, r.block, r.instr))
                << "\",\"cat\":\"" << txOutcomeName(r.outcome)
                << "\",\"args\":{\"outcome\":\"" << txOutcomeName(r.outcome)
                << "\",\"retry\":" << r.retry
@@ -361,7 +361,7 @@ statsJsonRecord(const JournalRun &run, Cycle window)
         if (i)
             os << ",";
         os << "{\"site\":\""
-           << jsonEscape(j.siteName(s.fn, s.block, s.instr))
+           << jsonEscape(j.names().siteName(s.fn, s.block, s.instr))
            << "\",\"commits\":" << s.commits
            << ",\"fallback_commits\":" << s.fallbackCommits
            << ",\"converted_commits\":" << s.convertedCommits
@@ -482,7 +482,7 @@ renderAttributionTable(const TxJournal &journal, std::size_t top_n)
         if (s.hotBlocksSaturated)
             hs << " (sat)"; // hot-block list capped: ranking is partial
         auto u = [](std::uint64_t v) { return std::to_string(v); };
-        t.row({journal.siteName(s.fn, s.block, s.instr), u(s.commits),
+        t.row({journal.names().siteName(s.fn, s.block, s.instr), u(s.commits),
                u(s.fallbackCommits), u(s.convertedCommits),
                u(s.totalAborts()),
                u(s.aborts[unsigned(htm::AbortReason::Conflict)]),

@@ -15,6 +15,7 @@
 #include "sim/sched_index.hh"
 #include "sim/schedule.hh"
 #include "sim/snapshot.hh"
+#include "sim/tx_observers.hh"
 #include "tir/interp.hh"
 #include "tir/verifier.hh"
 
@@ -29,32 +30,14 @@ namespace
 /** The software fallback lock lives below the globals region. */
 constexpr Addr fallbackLockAddr = 0xF000;
 
-static_assert(htm::numAbortReasons <= TxJournal::maxReasons,
-              "journal reason array too small for the abort taxonomy");
-
 constexpr Cycle farFuture = std::numeric_limits<Cycle>::max();
 
-/** Per-hardware-context runtime state. */
-struct ContextState
+/** Per-hardware-context state. The ContextRuntime base is what a
+ * snapshot copies; the rest is rebuilt or deliberately dropped. */
+struct ContextState : ContextRuntime
 {
     std::unique_ptr<tir::ThreadInterp> interp;
     std::unique_ptr<htm::HtmController> htm;
-    Cycle readyAt = 0;
-    Cycle finishedAt = 0;
-    bool done = false;
-    bool atBarrier = false;
-    unsigned retries = 0;
-    bool mustFallback = false;
-    bool inFallback = false;
-    // Fig. 6 footprints of the in-flight TX, in blocks. Open-addressing
-    // sets: one insert per tracked access makes these hot.
-    AddrSet fpAll, fpNoStatic, fpUnsafe;
-    // Journal record of the in-flight TX attempt (journaling only).
-    TxRecord rec;
-    bool recOpen = false;
-    bool recConverted = false;
-    // Capacity-metrics measurement of the in-flight TX (metrics only).
-    TxMetricsCtx mtx;
     /** Descheduled by the ScheduleController: off the pick set until
      * another context is preempted in its place or nothing else is
      * runnable. Never true without a controller; deliberately outside
@@ -77,6 +60,9 @@ class Machine
         : cfg_(cfg),
           prog_(module, num_threads, cfg.seed, cfg.decodeCache),
           moduleTag_(&module),
+          mem_(std::make_unique<mem::MemorySystem>(cfg.mem, cfg.numCores)),
+          vm_(std::make_unique<vm::Vm>(cfg.vm)),
+          observers_(cfg, module, *mem_, num_threads),
           ctrl_(cfg.scheduleController)
     {
         HINTM_ASSERT(!ctrl_ || num_threads <= 64,
@@ -93,28 +79,6 @@ class Machine
         }
         prog_.validateSafeStores = cfg.validateSafeStores;
         trace::enableFromEnvironment();
-
-        mem_ = std::make_unique<mem::MemorySystem>(cfg.mem, cfg.numCores);
-        vm_ = std::make_unique<vm::Vm>(cfg.vm);
-
-        if (cfg.journal) {
-            journal_ = std::make_shared<TxJournal>(cfg.journalCapacity);
-            std::vector<std::string> names;
-            names.reserve(module.functions.size());
-            for (const tir::Function &f : module.functions)
-                names.push_back(f.name);
-            journal_->setFunctionNames(std::move(names));
-        }
-
-        if (cfg.metrics) {
-            metrics_ = std::make_shared<MetricsRegistry>();
-            std::vector<std::string> names;
-            names.reserve(module.functions.size());
-            for (const tir::Function &f : module.functions)
-                names.push_back(f.name);
-            metrics_->setFunctionNames(std::move(names));
-            mem_->setMetricsSink(metrics_.get());
-        }
 
         if (cfg.hintOracle) {
             oracle_ = std::make_unique<htm::HintOracle>();
@@ -402,10 +366,7 @@ class Machine
         res_.pageModeOverheadCycles =
             shootdownCycles_ +
             res_.htm.cyclesLost[unsigned(htm::AbortReason::PageMode)];
-        if (cfg_.profileSharing) {
-            res_.blockSharing = profiler_.blockSummary();
-            res_.pageSharing = profiler_.pageSummary();
-        }
+        observers_.finish(res_);
         if (oracle_) {
             res_.oracleSafeChecked = oracle_->safeAccessesChecked();
             res_.oracleSafeSkips = oracle_->safeSkips();
@@ -413,16 +374,6 @@ class Machine
                 res_.oracleWitnesses.push_back(
                     htm::HintOracle::describe(w, prog_.module()));
         }
-        if (journal_) {
-            trace::event(trace::Category::Journal, res_.cycles,
-                         "TX journal flush: ", journal_->pushed(),
-                         " attempts recorded, ", journal_->dropped(),
-                         " dropped (ring capacity ",
-                         journal_->capacity(), ")");
-            res_.journal = journal_;
-        }
-        if (metrics_)
-            res_.metrics = metrics_;
         if (cfg_.collectRawStats) {
             std::ostringstream os;
             mem_->statGroup().dump(os);
@@ -464,39 +415,14 @@ class Machine
         s.vm = vm_->saveState();
         s.ctxs.reserve(ctxs_.size());
         for (const ContextState &cs : ctxs_) {
-            MachineContextSnapshot c;
-            c.interp = cs.interp->saveState();
-            c.htm = cs.htm->saveState();
-            c.readyAt = cs.readyAt;
-            c.finishedAt = cs.finishedAt;
-            c.done = cs.done;
-            c.atBarrier = cs.atBarrier;
-            c.retries = cs.retries;
-            c.mustFallback = cs.mustFallback;
-            c.inFallback = cs.inFallback;
-            c.fpAll = cs.fpAll;
-            c.fpNoStatic = cs.fpNoStatic;
-            c.fpUnsafe = cs.fpUnsafe;
-            c.rec = cs.rec;
-            c.recOpen = cs.recOpen;
-            c.recConverted = cs.recConverted;
-            c.mtx = cs.mtx;
-            s.ctxs.push_back(std::move(c));
+            // The runtime scalars are copied whole from the base.
+            s.ctxs.push_back(
+                {cs.interp->saveState(), cs.htm->saveState(), cs});
         }
         s.lockHolder = lockHolder_;
         s.shootdownCycles = shootdownCycles_;
-        s.profiler = profiler_;
         s.partial = res_;
-        s.partial.journal.reset();
-        s.partial.metrics.reset();
-        if (journal_) {
-            s.journal = *journal_;
-            s.hasJournal = true;
-        }
-        if (metrics_) {
-            s.metrics = *metrics_;
-            s.hasMetrics = true;
-        }
+        s.observers = observers_.state();
         s.now = now_;
         s.rr = rr_;
         s.numThreads = unsigned(ctxs_.size());
@@ -512,10 +438,6 @@ class Machine
         HINTM_ASSERT(s.moduleTag == moduleTag_ &&
                          s.numThreads == ctxs_.size(),
                      "snapshot does not match this machine");
-        HINTM_ASSERT(s.hasJournal == bool(journal_),
-                     "snapshot journal mode mismatch");
-        HINTM_ASSERT(s.hasMetrics == bool(metrics_),
-                     "snapshot metrics mode mismatch");
         // Restoring un-finalizes: the explorer reuses one machine for
         // many branches, finishing each before restoring the next.
         finalized_ = false;
@@ -529,20 +451,7 @@ class Machine
             const MachineContextSnapshot &c = s.ctxs[i];
             cs.interp->loadState(c.interp);
             cs.htm->loadState(c.htm);
-            cs.readyAt = c.readyAt;
-            cs.finishedAt = c.finishedAt;
-            cs.done = c.done;
-            cs.atBarrier = c.atBarrier;
-            cs.retries = c.retries;
-            cs.mustFallback = c.mustFallback;
-            cs.inFallback = c.inFallback;
-            cs.fpAll = c.fpAll;
-            cs.fpNoStatic = c.fpNoStatic;
-            cs.fpUnsafe = c.fpUnsafe;
-            cs.rec = c.rec;
-            cs.recOpen = c.recOpen;
-            cs.recConverted = c.recConverted;
-            cs.mtx = c.mtx;
+            static_cast<ContextRuntime &>(cs) = c.runtime;
             // Snapshots never carry preemption or filter state; a
             // forked branch re-applies its preemption after restore and
             // rebuilds footprints conservatively.
@@ -552,12 +461,8 @@ class Machine
         }
         lockHolder_ = s.lockHolder;
         shootdownCycles_ = s.shootdownCycles;
-        profiler_ = s.profiler;
         res_ = s.partial;
-        if (journal_)
-            *journal_ = s.journal;
-        if (metrics_)
-            *metrics_ = s.metrics;
+        observers_.restore(s.observers);
         now_ = s.now;
         rr_ = s.rr;
         if (useSchedIndex_)
@@ -647,81 +552,18 @@ class Machine
         }
     }
 
-    /** Open a journal record for the TX attempt starting now. */
-    void
-    openRecord(ContextState &cs, unsigned c, Cycle now,
-               const tir::Step &st, TxOutcome kind)
-    {
-        cs.rec = TxRecord{};
-        cs.rec.begin = now;
-        cs.rec.ctx = c;
-        cs.rec.fn = st.fn;
-        cs.rec.block = st.srcBlock;
-        cs.rec.instr = st.srcInstr;
-        cs.rec.retry =
-            std::uint16_t(std::min(cs.retries, 0xFFFFu));
-        cs.rec.outcome = kind;
-        cs.recOpen = true;
-        cs.recConverted = false;
-    }
-
     void
     handleAbort(unsigned c, Cycle now)
     {
         ContextState &cs = ctxs_[c];
-        if (journal_ && cs.recOpen) {
-            // Footprints and attribution are read before the ack
-            // clears the controller's tracking state.
-            cs.rec.end = now;
-            cs.rec.outcome = TxOutcome::Abort;
-            cs.rec.reason = std::uint8_t(cs.htm->pendingReason());
-            cs.rec.readBlocks =
-                std::uint32_t(cs.htm->readSetBlocks());
-            cs.rec.writeBlocks =
-                std::uint32_t(cs.htm->writeSetBlocks());
-            cs.rec.offendingAddr = cs.htm->lastAbortAddr();
-            cs.rec.offendingValid = cs.htm->lastAbortAddrValid();
-            cs.rec.offendingCtx = cs.htm->lastAbortCtx();
-            journal_->push(cs.rec);
-            cs.recOpen = false;
-        }
-        if (metrics_ && cs.mtx.open) {
-            if (cs.htm->pendingReason() == htm::AbortReason::Capacity) {
-                // Occupancy breakdown of the overflowing cache set,
-                // read before the ack clears the tracking state. Only
-                // aborts that name an offending address have a set to
-                // scan (L1TM set conflicts always do; buffer-full
-                // aborts on P8/P8S name the overflowing access).
-                if (cs.htm->lastAbortAddrValid()) {
-                    metrics_->recordOverflowScan();
-                    mem_->forEachValidInL1Set(
-                        mem::ContextId(c), cs.htm->lastAbortAddr(),
-                        [&](Addr blk, const mem::CacheLine &) {
-                            metrics_->recordOverflowLine(
-                                cs.htm->readsBlock(blk) ||
-                                    cs.htm->writesBlock(blk),
-                                cs.mtx.skips.contains(blk));
-                        });
-                }
-                metrics_->closeCapacityAbort(cs.mtx,
-                                             cs.htm->trackedBlocks());
-            } else {
-                metrics_->closeOther(cs.mtx);
-            }
-        }
+        observers_.abort(c, now, *cs.htm, cs.retries);
         const htm::AbortReason reason = cs.htm->acknowledgeAbort(now);
-        trace::event(trace::Category::Tx, now, "ctx ", c, " abort (",
-                     htm::abortReasonName(reason), "), retry ",
-                     cs.retries + 1);
         noteEvent(SchedEvent::TxAbort);
         if (ctrl_) {
             cs.ctlFpLast = cs.ctlFpCur;
             cs.ctlFpCur.clear();
         }
         cs.interp->rollbackToTxBegin();
-        cs.fpAll.clear();
-        cs.fpNoStatic.clear();
-        cs.fpUnsafe.clear();
         if (!htm::abortIsTransient(reason)) {
             // Capacity aborts recur deterministically: fall back now.
             cs.mustFallback = true;
@@ -732,6 +574,31 @@ class Machine
         }
         cs.readyAt = now + cfg_.htm.abortHandlerCycles +
                      Cycle(cs.retries) * cfg_.backoffCycles;
+    }
+
+    /**
+     * Take the software fallback lock for @p c, entering a fallback run
+     * or converting an overflowing TX. Every running hardware TX
+     * subscribed to the lock word, so all of them abort before the
+     * acquisition is published; the seeded lazy-subscription bug has
+     * no subscribers to kill. @return the lock-word write latency.
+     */
+    Cycle
+    acquireFallbackLock(unsigned c, Cycle now)
+    {
+        lockHolder_ = int(c);
+        observers_.lockAcquired(now);
+        if (!cfg_.unsafeLazySubscription) {
+            for (unsigned o = 0; o < ctxs_.size(); ++o) {
+                if (o != c && ctxs_[o].htm->inTx())
+                    ctxs_[o].htm->requestAbort(
+                        htm::AbortReason::FallbackLock, std::int32_t(c));
+            }
+        }
+        noteEvent(SchedEvent::LockAcquire);
+        return mem_
+            ->access(mem::ContextId(c), fallbackLockAddr, AccessType::Write)
+            .latency;
     }
 
     void
@@ -748,44 +615,14 @@ class Machine
         }
 
         if (cs.mustFallback) {
-            lockHolder_ = int(c);
             ++res_.fallbackRuns;
-            if (metrics_) {
-                cs.mtx.lockAcquiredAt = now;
-                cs.mtx.lockHeld = true;
-            }
-            trace::event(trace::Category::Tx, now, "ctx ", c,
-                         " acquires the fallback lock");
-            // Abort every running hardware TX (they all subscribed to
-            // the lock), then publish the acquisition. The seeded
-            // lazy-subscription bug has no subscribers to kill.
-            if (!cfg_.unsafeLazySubscription) {
-                for (unsigned o = 0; o < ctxs_.size(); ++o) {
-                    if (o != c && ctxs_[o].htm->inTx())
-                        ctxs_[o].htm->requestAbort(
-                            htm::AbortReason::FallbackLock,
-                            std::int32_t(c));
-                }
-            }
-            const auto ar =
-                mem_->access(mem::ContextId(c), fallbackLockAddr,
-                             AccessType::Write);
-            cost += ar.latency + cfg_.htm.beginCycles;
+            cost += acquireFallbackLock(c, now) + cfg_.htm.beginCycles;
             cs.interp->enterTx(/*htm_mode=*/false);
             cs.inFallback = true;
-            if (journal_)
-                openRecord(cs, c, now, st, TxOutcome::FallbackCommit);
-            noteEvent(SchedEvent::LockAcquire);
+            observers_.txBegin(c, now, st, cs.retries, /*hardware=*/false);
         } else {
             cs.htm->beginTx(now);
-            trace::event(trace::Category::Tx, now, "ctx ", c,
-                         " begins hardware TX");
-            if (journal_)
-                openRecord(cs, c, now, st, TxOutcome::Commit);
-            if (metrics_) {
-                metrics_->beginTx(cs.mtx, now, st.fn, st.srcBlock,
-                                  st.srcInstr);
-            }
+            observers_.txBegin(c, now, st, cs.retries, /*hardware=*/true);
             // Lock subscription: the lock word joins the readset so a
             // fallback acquisition conflicts this TX out. The seeded
             // bug skips it — the Dice-et-al. lazy-subscription hazard
@@ -811,42 +648,10 @@ class Machine
         ContextState &cs = ctxs_[c];
         Cycle cost = simpleCost(st) + cfg_.htm.commitCycles;
 
-        if (journal_ && cs.recOpen) {
-            cs.rec.end = now;
-            if (cs.inFallback) {
-                cs.rec.outcome = cs.recConverted
-                                     ? TxOutcome::ConvertedCommit
-                                     : TxOutcome::FallbackCommit;
-                // Converted footprints were captured at conversion;
-                // pure fallback runs track nothing.
-            } else {
-                cs.rec.outcome = TxOutcome::Commit;
-                cs.rec.readBlocks =
-                    std::uint32_t(cs.htm->readSetBlocks());
-                cs.rec.writeBlocks =
-                    std::uint32_t(cs.htm->writeSetBlocks());
-            }
-            journal_->push(cs.rec);
-            cs.recOpen = false;
-        }
-
         if (cs.inFallback) {
             HINTM_ASSERT(lockHolder_ == int(c), "lock bookkeeping broken");
+            observers_.lockRelease(c, now);
             lockHolder_ = -1;
-            if (metrics_) {
-                if (cs.mtx.lockHeld) {
-                    metrics_->fallbackSeries.addSpan(cs.mtx.lockAcquiredAt,
-                                                     now);
-                    ++metrics_->fallbackAcquisitions;
-                    cs.mtx.lockHeld = false;
-                }
-                // A converted TX commits under the lock, not the HTM:
-                // fold its hint accounting without a commit verdict.
-                if (cs.mtx.open)
-                    metrics_->closeOther(cs.mtx);
-            }
-            trace::event(trace::Category::Tx, now, "ctx ", c,
-                         " releases the fallback lock");
             const auto ar =
                 mem_->access(mem::ContextId(c), fallbackLockAddr,
                              AccessType::Write);
@@ -860,92 +665,20 @@ class Machine
             // section may be mutating. Impossible with eager
             // subscription (the acquisition aborts every TX); the
             // seeded lazy-subscription bug makes it reachable.
-            if (lockHolder_ >= 0 && lockHolder_ != int(c)) {
+            if (lockHolder_ >= 0 && lockHolder_ != int(c))
                 ++res_.subscriptionViolations;
-                trace::event(trace::Category::Tx, now, "ctx ", c,
-                             " commits while ctx ", lockHolder_,
-                             " holds the fallback lock");
-            }
-            trace::event(trace::Category::Tx, now, "ctx ", c, " commits (",
-                         cs.htm->trackedBlocks(), " tracked blocks)");
-            if (metrics_ && cs.mtx.open)
-                metrics_->closeCommit(cs.mtx, hintSavedVerdict(cs));
+            observers_.commit(c, now, *cs.htm, lockHolder_);
             cs.htm->commitTx(now);
             noteEvent(SchedEvent::TxCommit);
             if (ctrl_) {
                 cs.ctlFpLast = cs.ctlFpCur;
                 cs.ctlFpCur.clear();
             }
-            if (cfg_.collectTxSizes) {
-                res_.txSizeAll.sample(cs.fpAll.size());
-                res_.txSizeNoStatic.sample(cs.fpNoStatic.size());
-                res_.txSizeUnsafe.sample(cs.fpUnsafe.size());
-            }
         }
         cs.interp->completeTxEnd();
         cs.retries = 0;
-        cs.fpAll.clear();
-        cs.fpNoStatic.clear();
-        cs.fpUnsafe.clear();
         ++res_.committedTxs;
         cs.readyAt = now + cost;
-    }
-
-    /**
-     * Capacity-model verdict at commit time: did this TX's tracked
-     * footprint fit the transactional structures only because safe
-     * hints kept the skipped blocks out? Counts only skipped blocks the
-     * TX never also tracked (a block read safely and written unsafely
-     * occupies a slot regardless).
-     *
-     * P8/P8S: the tracked set fit the TX buffer, but tracked + skipped
-     * would not have. (For P8S this is conservative: spilled reads live
-     * in the signature, so a buffer-centric model may over-claim.)
-     * L1TM: the tracked set fit every L1 set's associativity, but some
-     * set would have overflowed with the skipped blocks included.
-     * InfCap: never (nothing to overflow).
-     */
-    bool
-    hintSavedVerdict(const ContextState &cs) const
-    {
-        if (cfg_.htm.kind == htm::HtmKind::InfCap)
-            return false;
-        const TxMetricsCtx &m = cs.mtx;
-        if (m.skips.empty())
-            return false;
-        // Tracked membership is queried from the controller's own
-        // read/write sets — the metrics layer keeps no shadow copy of
-        // the footprint. Called before commitTx, so the sets are live.
-        const auto in_tracked = [&](Addr b) {
-            return cs.htm->readsBlock(b) || cs.htm->writesBlock(b);
-        };
-        if (cfg_.htm.kind != htm::HtmKind::L1TM) {
-            const std::uint64_t cap = cfg_.htm.bufferEntries;
-            std::uint64_t extra = 0;
-            m.skips.forEach([&](Addr b) {
-                if (!in_tracked(b))
-                    ++extra;
-            });
-            const std::uint64_t used = cs.htm->trackedBlocks();
-            return extra > 0 && used <= cap && used + extra > cap;
-        }
-        // L1TM: group tracked and (un-tracked) skipped blocks by L1 set.
-        const mem::CacheGeometry &g = mem_->l1Geometry();
-        std::map<std::uint64_t, std::pair<unsigned, unsigned>> sets;
-        cs.htm->forEachTrackedBlock(
-            [&](Addr b) { ++sets[g.indexOf(b)].first; });
-        m.skips.forEach([&](Addr b) {
-            if (!in_tracked(b))
-                ++sets[g.indexOf(b)].second;
-        });
-        bool tracked_fits = true, combined_overflows = false;
-        for (const auto &[set, counts] : sets) {
-            if (counts.first > g.assoc())
-                tracked_fits = false;
-            if (counts.first + counts.second > g.assoc())
-                combined_overflows = true;
-        }
-        return tracked_fits && combined_overflows;
     }
 
     void
@@ -1050,35 +783,8 @@ class Machine
                 // critical section when the fallback lock is free,
                 // preserving the work done so far; else abort normally.
                 if (lockHolder_ < 0) {
-                    lockHolder_ = int(c);
-                    if (metrics_) {
-                        cs.mtx.lockAcquiredAt = now;
-                        cs.mtx.lockHeld = true;
-                    }
-                    trace::event(trace::Category::Tx, now, "ctx ", c,
-                                 " converts overflowing TX to a "
-                                 "critical section");
-                    if (!cfg_.unsafeLazySubscription) {
-                        for (unsigned o = 0; o < ctxs_.size(); ++o) {
-                            if (o != c && ctxs_[o].htm->inTx())
-                                ctxs_[o].htm->requestAbort(
-                                    htm::AbortReason::FallbackLock,
-                                    std::int32_t(c));
-                        }
-                    }
-                    noteEvent(SchedEvent::LockAcquire);
-                    const auto lr = mem_->access(mem::ContextId(c),
-                                                 fallbackLockAddr,
-                                                 AccessType::Write);
-                    cost += lr.latency;
-                    if (journal_ && cs.recOpen) {
-                        // Footprint at the moment tracking stops.
-                        cs.rec.readBlocks =
-                            std::uint32_t(cs.htm->readSetBlocks());
-                        cs.rec.writeBlocks =
-                            std::uint32_t(cs.htm->writeSetBlocks());
-                        cs.recConverted = true;
-                    }
+                    cost += acquireFallbackLock(c, now);
+                    observers_.convert(c, now, *cs.htm);
                     cs.htm->convertToCriticalSection();
                     cs.interp->convertToFallback();
                     cs.inFallback = true;
@@ -1093,24 +799,12 @@ class Machine
                 cs.readyAt = now + cost; // capacity: squash
                 return;
             }
-            if (metrics_ && cs.mtx.open && !cs.inFallback) {
-                if (static_safe) {
-                    metrics_->onSafeSkip(cs.mtx, blockAlign(st.addr),
-                                         MetricsRegistry::SkipKind::Static);
-                } else if (dyn_safe) {
-                    metrics_->onSafeSkip(
-                        cs.mtx, blockAlign(st.addr),
-                        MetricsRegistry::SkipKind::Dynamic);
-                } else if (annot_safe) {
-                    metrics_->onSafeSkip(
-                        cs.mtx, blockAlign(st.addr),
-                        MetricsRegistry::SkipKind::Annotation);
-                } else if (newly) {
-                    metrics_->onTrackedGrowth(
-                        cs.mtx, newly & htm::NewlyRead,
-                        newly & htm::NewlyWritten, now);
-                }
-            }
+            observers_.txAccess(c, st.addr, now,
+                                static_safe  ? SafeHint::Static
+                                : dyn_safe   ? SafeHint::Dynamic
+                                : annot_safe ? SafeHint::Annotation
+                                             : SafeHint::None,
+                                newly, cs.inFallback);
             if (is_read) {
                 if (static_safe)
                     ++res_.txReadsStaticSafe;
@@ -1125,14 +819,6 @@ class Machine
                     ++res_.txWritesStaticSafe;
                 else
                     ++res_.txWritesUnsafe;
-            }
-            if (cfg_.collectTxSizes) {
-                const Addr blk = blockNumber(st.addr);
-                cs.fpAll.insert(blk);
-                if (!static_safe)
-                    cs.fpNoStatic.insert(blk);
-                if (!safe)
-                    cs.fpUnsafe.insert(blk);
             }
             if (ctrl_ && !cs.inFallback)
                 cs.ctlFpCur.insert(blockAlign(st.addr));
@@ -1167,10 +853,8 @@ class Machine
         // 5. Architectural effect.
         cs.interp->completeMem();
 
-        if (cfg_.profileSharing) {
-            profiler_.record(cs.interp->tid(), st.addr, st.accessType,
-                             in_any_tx);
-        }
+        observers_.accessDone(cs.interp->tid(), st.addr, st.accessType,
+                              in_any_tx);
         cs.readyAt = now + cost;
     }
 
@@ -1387,13 +1071,13 @@ class Machine
     const void *moduleTag_;
     std::unique_ptr<mem::MemorySystem> mem_;
     std::unique_ptr<vm::Vm> vm_;
+    /** Every observation sink; declared after mem_, whose metrics
+     * sink it attaches. */
+    TxObservers observers_;
     std::unique_ptr<htm::HintOracle> oracle_;
-    std::shared_ptr<TxJournal> journal_;
-    std::shared_ptr<MetricsRegistry> metrics_;
     std::vector<ContextState> ctxs_;
     int lockHolder_ = -1;
     std::uint64_t shootdownCycles_ = 0;
-    SharingProfiler profiler_;
     RunResult res_;
     /** Scheduler clock + round-robin cursor (members so a run can be
      * interrupted for snapshotting and resumed). */

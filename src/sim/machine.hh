@@ -5,7 +5,9 @@
  * HinTM virtual-memory subsystem and per-context HTM controllers.
  * Implements the transactional runtime — begin/retry/fallback policy,
  * global fallback lock with readset subscription, barriers — and collects
- * every statistic the paper's figures need.
+ * every statistic the paper's figures need. Observation-only sinks
+ * (journal, metrics, footprint CDFs, sharing profile, TX trace) sit
+ * behind sim::TxObservers (sim/tx_observers.hh).
  */
 
 #ifndef HINTM_SIM_MACHINE_HH

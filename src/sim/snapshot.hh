@@ -2,11 +2,11 @@
  * @file
  * Machine-state snapshot/restore. A MachineSnapshot is the complete
  * state of a running machine (caches, coherence directory, VM/TLBs, HTM
- * controllers, interpreter frames, partial results, journal, scheduler
- * clock). Restoring into a machine built from the *same* configuration
- * and resuming is bit-identical to never having stopped
- * (property-test-locked in tests/test_snapshot.cc). The schedule
- * explorer forks its branches this way.
+ * controllers, interpreter frames, partial results, everything the
+ * observers recorded, scheduler clock). Restoring into a machine built
+ * from the *same* configuration and resuming is bit-identical to never
+ * having stopped (property-test-locked in tests/test_snapshot.cc). The
+ * schedule explorer forks its branches this way.
  *
  * SimRun wraps the (internal) Machine with stepwise control so callers
  * can run partway, capture, restore and finish.
@@ -19,10 +19,8 @@
 #include <memory>
 #include <vector>
 
-#include "common/flat_set.hh"
-#include "common/journal.hh"
-#include "common/metrics.hh"
 #include "sim/machine.hh"
+#include "sim/tx_observers.hh"
 #include "tir/interp.hh"
 
 namespace hintm
@@ -30,11 +28,10 @@ namespace hintm
 namespace sim
 {
 
-/** Snapshot of one hardware context's runtime state. */
-struct MachineContextSnapshot
+/** Scalar runtime state of one hardware context: its scheduling,
+ * retry and fallback-lock state. Snapshots copy it whole. */
+struct ContextRuntime
 {
-    tir::ThreadInterp::State interp;
-    htm::HtmController::State htm;
     Cycle readyAt = 0;
     Cycle finishedAt = 0;
     bool done = false;
@@ -42,17 +39,19 @@ struct MachineContextSnapshot
     unsigned retries = 0;
     bool mustFallback = false;
     bool inFallback = false;
-    AddrSet fpAll, fpNoStatic, fpUnsafe;
-    TxRecord rec;
-    bool recOpen = false;
-    bool recConverted = false;
-    /** In-flight capacity-metrics measurement (metrics configs only). */
-    TxMetricsCtx mtx;
+};
+
+/** Snapshot of one hardware context. */
+struct MachineContextSnapshot
+{
+    tir::ThreadInterp::State interp;
+    htm::HtmController::State htm;
+    ContextRuntime runtime;
 };
 
 /** Complete machine state at a scheduler boundary. The event-driven
  * scheduler index is deliberately absent: it is state derived entirely
- * from the per-context (done, atBarrier, readyAt) fields below plus
+ * from each context's ContextRuntime (done, atBarrier, readyAt) plus
  * now/rr, and the machine rebuilds it on restore(). */
 struct MachineSnapshot
 {
@@ -62,15 +61,10 @@ struct MachineSnapshot
     std::vector<MachineContextSnapshot> ctxs;
     int lockHolder = -1;
     std::uint64_t shootdownCycles = 0;
-    SharingProfiler profiler;
-    /** Accumulated results so far (journal pointer always null here). */
+    /** Accumulated simulation results so far. */
     RunResult partial;
-    /** Journal ring contents (journaling configs only). */
-    TxJournal journal;
-    bool hasJournal = false;
-    /** Metrics registry contents (metrics configs only). */
-    MetricsRegistry metrics;
-    bool hasMetrics = false;
+    /** Everything the observers recorded, in-flight TXs included. */
+    TxObservers::State observers;
     Cycle now = 0;
     unsigned rr = 0;
     unsigned numThreads = 0;
@@ -123,7 +117,8 @@ class SimRun
     /** Current scheduler clock. */
     Cycle now() const;
 
-    /** Run to completion and finalize the result. */
+    /** Run to completion and finalize the result. The result owns its
+     * journal and metrics: a later restore() leaves it unchanged. */
     RunResult finish();
 
   private:

@@ -2,7 +2,6 @@
  * @file
  * Tests for the per-TX observability journal: cross-checks between the
  * journal's exact aggregates and the simulator's own HTM statistics,
- * bit-identity of simulation results with the journal on and off,
  * bounded-ring drop accounting, the interval sampler, per-site abort
  * attribution, and the Perfetto / stats-JSON exporters.
  */
@@ -12,6 +11,7 @@
 #include <sstream>
 
 #include "common/journal.hh"
+#include "common/metrics.hh"
 #include "core/hintm.hh"
 #include "htm/abort.hh"
 #include "sim/journal_io.hh"
@@ -89,7 +89,8 @@ TEST(TxJournal, RecordsCarryTxSites)
         const TxRecord &rec = j.at(i);
         EXPECT_GE(rec.fn, 0) << "record " << i << " lost its TX site";
         EXPECT_GE(rec.end, rec.begin);
-        EXPECT_NE(j.siteName(rec.fn, rec.block, rec.instr), "(unknown)");
+        EXPECT_NE(j.names().siteName(rec.fn, rec.block, rec.instr),
+                  "(unknown)");
     }
 }
 
@@ -120,46 +121,6 @@ TEST(TxJournal, ConflictAbortsNameOffenderBlockAndContext)
     for (const auto &kv : j.sites())
         sawHotBlock |= !kv.second.hotBlocks.empty();
     EXPECT_TRUE(sawHotBlock);
-}
-
-// ---- bit-identity ---------------------------------------------------
-
-TEST(TxJournal, ObservationOnlyResultsAreBitIdentical)
-{
-    for (const char *workload : {"kmeans", "intruder"}) {
-        SCOPED_TRACE(workload);
-        workloads::Workload wl =
-            workloads::byName(workload, workloads::Scale::Tiny);
-        core::compileHints(wl.module);
-
-        core::SystemOptions base;
-        base.mechanism = core::Mechanism::Full;
-        base.collectRawStats = true;
-        base.journal = false;
-        core::SystemOptions with = base;
-        with.journal = true;
-
-        tir::Module m1 = wl.module;
-        tir::Module m2 = wl.module;
-        const sim::RunResult r1 = core::simulate(base, m1, wl.threads);
-        const sim::RunResult r2 = core::simulate(with, m2, wl.threads);
-
-        EXPECT_EQ(r1.cycles, r2.cycles);
-        EXPECT_EQ(r1.instructions, r2.instructions);
-        EXPECT_EQ(r1.committedTxs, r2.committedTxs);
-        EXPECT_EQ(r1.fallbackRuns, r2.fallbackRuns);
-        EXPECT_EQ(r1.htm.commits, r2.htm.commits);
-        for (unsigned a = 0; a < htm::numAbortReasons; ++a)
-            EXPECT_EQ(r1.htm.aborts[a], r2.htm.aborts[a]);
-        EXPECT_EQ(r1.txAccessesTotal(), r2.txAccessesTotal());
-        EXPECT_EQ(r1.pageModeOverheadCycles, r2.pageModeOverheadCycles);
-        EXPECT_EQ(r1.rawStats, r2.rawStats);
-        EXPECT_EQ(r1.finalGlobals, r2.finalGlobals);
-
-        EXPECT_EQ(r1.journal, nullptr);
-        ASSERT_NE(r2.journal, nullptr);
-        EXPECT_GT(r2.journal->pushed(), 0u);
-    }
 }
 
 // ---- bounded ring ---------------------------------------------------
@@ -379,11 +340,13 @@ TEST(TxJournal, IntervalSamplerEmptyJournalAndRingDrops)
 
 TEST(TxJournal, SiteNamesRender)
 {
-    TxJournal j(4);
-    j.setFunctionNames({"main", "worker"});
-    EXPECT_EQ(j.siteName(1, 3, 7), "worker:3:7");
-    EXPECT_EQ(j.siteName(5, 0, 0), "fn5:0:0"); // past the name table
-    EXPECT_EQ(j.siteName(-1, 0, 0), "(unknown)");
+    const TxJournal j(4, SiteNames({"main", "worker"}));
+    EXPECT_EQ(j.names().siteName(1, 3, 7), "worker:3:7");
+    // past the name table
+    EXPECT_EQ(j.names().siteName(5, 0, 0), "fn5:0:0");
+    EXPECT_EQ(j.names().siteName(-1, 0, 0), "(unknown)");
+    // A registry holding no names still renders ids.
+    EXPECT_EQ(MetricsRegistry().names().siteName(1, 3, 7), "fn1:3:7");
 }
 
 // ---- exporters ------------------------------------------------------

@@ -520,38 +520,6 @@ TEST(RaceLint, DivergentFlaggedVariantHintRaisesObligation3)
 
 // ---- oracle invariants ----------------------------------------------
 
-TEST(HintOracle, ObservationOnlyResultsAreBitIdentical)
-{
-    workloads::Workload wl =
-        workloads::byName("kmeans", workloads::Scale::Tiny);
-    core::compileHints(wl.module);
-
-    core::SystemOptions base;
-    base.mechanism = core::Mechanism::Full;
-    base.collectRawStats = true;
-    core::SystemOptions with = base;
-    with.hintOracle = true;
-
-    Module m1 = wl.module;
-    Module m2 = wl.module;
-    const sim::RunResult r1 = core::simulate(base, m1, wl.threads);
-    const sim::RunResult r2 = core::simulate(with, m2, wl.threads);
-
-    EXPECT_EQ(r1.cycles, r2.cycles);
-    EXPECT_EQ(r1.instructions, r2.instructions);
-    EXPECT_EQ(r1.committedTxs, r2.committedTxs);
-    EXPECT_EQ(r1.htm.commits, r2.htm.commits);
-    EXPECT_EQ(r1.htm.totalAborts(), r2.htm.totalAborts());
-    EXPECT_EQ(r1.txAccessesTotal(), r2.txAccessesTotal());
-    EXPECT_EQ(r1.rawStats, r2.rawStats);
-    EXPECT_EQ(r1.finalGlobals, r2.finalGlobals);
-
-    EXPECT_GT(r2.oracleSafeChecked, 0u);
-    EXPECT_GE(r2.oracleSafeSkips, r2.oracleSafeChecked);
-    EXPECT_TRUE(r2.oracleWitnesses.empty());
-    EXPECT_EQ(r1.oracleSafeChecked, 0u); // oracle off: nothing counted
-}
-
 TEST(HintOracle, DecodedAndReferencePathsReportIdenticalWitnesses)
 {
     // The decoded interpreter reports source positions through the

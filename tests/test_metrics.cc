@@ -3,8 +3,9 @@
  * Tests for the capacity-pressure metrics layer: Log2Hist bucketing,
  * the adaptive TimeSeries fold, registry fold-on-close accounting,
  * cross-checks between the registry and the simulator's own HTM
- * statistics, bit-identity of simulation results with metrics on and
- * off, and hint-saved commit detection under capacity pressure.
+ * statistics, and hint-saved commit detection under capacity pressure.
+ * Bit-identity with metrics on and off is ObservationOnlyProperty in
+ * test_properties.cc.
  */
 
 #include <gtest/gtest.h>
@@ -118,8 +119,8 @@ TEST(MetricsRegistry, CommitFoldsSiteAndGlobalAggregates)
     reg.onTrackedGrowth(m, true, false, 120);
     reg.onTrackedGrowth(m, true, false, 130);
     reg.onTrackedGrowth(m, false, true, 140);
-    reg.onSafeSkip(m, 0x3000, MetricsRegistry::SkipKind::Static);
-    reg.onSafeSkip(m, 0x3000, MetricsRegistry::SkipKind::Dynamic);
+    reg.onSafeSkip(m, 0x3000, SafeHint::Static);
+    reg.onSafeSkip(m, 0x3000, SafeHint::Dynamic);
     reg.closeCommit(m, true);
     EXPECT_FALSE(m.open);
 
@@ -171,7 +172,7 @@ TEST(MetricsRegistry, CapacityAbortAndOtherClosesFoldSkips)
     TxMetricsCtx m;
 
     reg.beginTx(m, 0, 1, 0, 0);
-    reg.onSafeSkip(m, 0x100, MetricsRegistry::SkipKind::Annotation);
+    reg.onSafeSkip(m, 0x100, SafeHint::Annotation);
     reg.closeCapacityAbort(m, 66);
     EXPECT_EQ(reg.capacityAborts, 1u);
     EXPECT_EQ(reg.trackedAtCapacityAbort.count, 1u);
@@ -179,7 +180,7 @@ TEST(MetricsRegistry, CapacityAbortAndOtherClosesFoldSkips)
     EXPECT_EQ(reg.skipAnnotAccesses, 1u);
 
     reg.beginTx(m, 10, 1, 0, 0);
-    reg.onSafeSkip(m, 0x200, MetricsRegistry::SkipKind::Static);
+    reg.onSafeSkip(m, 0x200, SafeHint::Static);
     reg.closeOther(m);
     EXPECT_EQ(reg.skipStaticAccesses, 1u);
     EXPECT_EQ(reg.capacityAborts, 1u); // closeOther is not an abort
@@ -262,44 +263,6 @@ runWithMetrics(const std::string &workload, htm::HtmKind kind,
 }
 
 } // namespace
-
-TEST(Metrics, ObservationOnlyResultsAreBitIdentical)
-{
-    for (const char *workload : {"kmeans", "intruder"}) {
-        SCOPED_TRACE(workload);
-        workloads::Workload wl =
-            workloads::byName(workload, workloads::Scale::Tiny);
-        core::compileHints(wl.module);
-
-        core::SystemOptions base;
-        base.mechanism = core::Mechanism::Full;
-        base.collectRawStats = true;
-        base.metrics = false;
-        core::SystemOptions with = base;
-        with.metrics = true;
-
-        tir::Module m1 = wl.module;
-        tir::Module m2 = wl.module;
-        const sim::RunResult r1 = core::simulate(base, m1, wl.threads);
-        const sim::RunResult r2 = core::simulate(with, m2, wl.threads);
-
-        EXPECT_EQ(r1.cycles, r2.cycles);
-        EXPECT_EQ(r1.instructions, r2.instructions);
-        EXPECT_EQ(r1.committedTxs, r2.committedTxs);
-        EXPECT_EQ(r1.fallbackRuns, r2.fallbackRuns);
-        EXPECT_EQ(r1.htm.commits, r2.htm.commits);
-        for (unsigned a = 0; a < htm::numAbortReasons; ++a)
-            EXPECT_EQ(r1.htm.aborts[a], r2.htm.aborts[a]);
-        EXPECT_EQ(r1.txAccessesTotal(), r2.txAccessesTotal());
-        EXPECT_EQ(r1.pageModeOverheadCycles, r2.pageModeOverheadCycles);
-        EXPECT_EQ(r1.rawStats, r2.rawStats);
-        EXPECT_EQ(r1.finalGlobals, r2.finalGlobals);
-
-        EXPECT_EQ(r1.metrics, nullptr);
-        ASSERT_NE(r2.metrics, nullptr);
-        EXPECT_GT(r2.metrics->trackedAtCommit.count, 0u);
-    }
-}
 
 TEST(Metrics, RegistryCrossChecksHtmStats)
 {

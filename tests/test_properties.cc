@@ -13,7 +13,9 @@
  *  - determinism: identical (seed, config) runs produce identical cycle
  *    counts and final memory;
  *  - reference-path equivalence: each fast path matches the reference
- *    implementation it replaced, bit for bit.
+ *    implementation it replaced, bit for bit;
+ *  - observation only: switching any one observation sink on leaves
+ *    every simulated result bit-identical.
  */
 
 #include <gtest/gtest.h>
@@ -351,6 +353,119 @@ TEST_P(ReferencePathEquivalence, FastPathMatchesReferenceExactly)
 
 INSTANTIATE_TEST_SUITE_P(AllKernels, ReferencePathEquivalence,
                          ::testing::ValuesIn(allRefCases()));
+
+/*
+ * Observation only: a sink records what the machine does without
+ * changing it. Switching one sink on must leave the full RunResult
+ * encoding unchanged once that sink's own output fields are reset, and
+ * the sink must have recorded something. The journal and the metrics
+ * registry are not part of the encoding, so their runs compare as they
+ * are.
+ */
+enum class Sink
+{
+    Journal,
+    Metrics,
+    TxSizes,
+    Sharing,
+    HintOracle,
+};
+
+struct SinkCase
+{
+    Sink sink;
+    std::string kernel;
+    htm::HtmKind kind;
+};
+
+void
+PrintTo(const SinkCase &c, std::ostream *os)
+{
+    static const char *const sinks[] = {"journal", "metrics", "txsizes",
+                                        "sharing", "oracle"};
+    *os << sinks[unsigned(c.sink)] << ':' << c.kernel << ':'
+        << htm::htmKindName(c.kind);
+}
+
+std::vector<SinkCase>
+allSinkCases()
+{
+    std::vector<SinkCase> cases;
+    for (const Sink sink : {Sink::Journal, Sink::Metrics, Sink::TxSizes,
+                            Sink::Sharing, Sink::HintOracle})
+        for (const char *kernel : {"kmeans", "intruder"})
+            for (const htm::HtmKind kind :
+                 {htm::HtmKind::P8, htm::HtmKind::P8S, htm::HtmKind::L1TM})
+                cases.push_back({sink, kernel, kind});
+    return cases;
+}
+
+class ObservationOnlyProperty : public ::testing::TestWithParam<SinkCase>
+{
+};
+
+TEST_P(ObservationOnlyProperty, SinkLeavesResultsBitIdentical)
+{
+    const SinkCase &c = GetParam();
+    workloads::Workload w =
+        workloads::byName(c.kernel, workloads::Scale::Tiny);
+    core::compileHints(w.module);
+
+    core::SystemOptions opts;
+    opts.htmKind = c.kind;
+    opts.mechanism = core::Mechanism::Full;
+    opts.collectRawStats = true;
+    const sim::MachineConfig off = core::makeMachineConfig(opts);
+    sim::MachineConfig on = off;
+    switch (c.sink) {
+      case Sink::Journal: on.journal = true; break;
+      case Sink::Metrics: on.metrics = true; break;
+      case Sink::TxSizes: on.collectTxSizes = true; break;
+      case Sink::Sharing: on.profileSharing = true; break;
+      case Sink::HintOracle: on.hintOracle = true; break;
+    }
+
+    const sim::RunResult a = sim::runMachine(off, w.module, w.threads);
+    sim::RunResult b = sim::runMachine(on, w.module, w.threads);
+    EXPECT_EQ(a.journal, nullptr);
+    EXPECT_EQ(a.metrics, nullptr);
+    const sim::RunResult blank;
+    switch (c.sink) {
+      case Sink::Journal:
+        ASSERT_NE(b.journal, nullptr);
+        EXPECT_GT(b.journal->pushed(), 0u);
+        break;
+      case Sink::Metrics:
+        ASSERT_NE(b.metrics, nullptr);
+        EXPECT_GT(b.metrics->trackedAtCommit.count, 0u);
+        break;
+      case Sink::TxSizes:
+        EXPECT_GT(b.txSizeAll.count(), 0u);
+        b.txSizeAll = blank.txSizeAll;
+        b.txSizeNoStatic = blank.txSizeNoStatic;
+        b.txSizeUnsafe = blank.txSizeUnsafe;
+        break;
+      case Sink::Sharing:
+        EXPECT_GT(b.blockSharing.txReads, 0u);
+        b.blockSharing = blank.blockSharing;
+        b.pageSharing = blank.pageSharing;
+        break;
+      case Sink::HintOracle:
+        // Every checked access is a skip; intruder's skips are all
+        // dynamic, which the oracle counts but does not check.
+        EXPECT_GT(b.oracleSafeSkips, 0u);
+        EXPECT_GE(b.oracleSafeSkips, b.oracleSafeChecked);
+        EXPECT_TRUE(b.oracleWitnesses.empty());
+        b.oracleWitnesses = blank.oracleWitnesses;
+        b.oracleSafeChecked = blank.oracleSafeChecked;
+        b.oracleSafeSkips = blank.oracleSafeSkips;
+        break;
+    }
+    EXPECT_EQ(bench::encodeRunResult(a), bench::encodeRunResult(b));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSinks, ObservationOnlyProperty,
+                         ::testing::ValuesIn(allSinkCases()));
 
 // Every kernel re-partitioned for the full 64-context machine must run
 // end-to-end (NUMA tiers on, directory on) and still satisfy its basic

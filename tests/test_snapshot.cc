@@ -4,14 +4,18 @@
  * is bit-identity: a machine restored from a mid-run snapshot must
  * produce exactly the RunResult of an uninterrupted cold run — cycles,
  * abort breakdowns, distributions, raw stats and final globals
- * included. encodeRunResult() serializes every persisted field, so
- * string equality of the encodings is a full-width comparison.
+ * included. Every observation sink is on, so the stats-JSON record and
+ * the Perfetto trace must match as well. encodeRunResult() serializes
+ * every persisted field, so string equality of the three exports is a
+ * full-width comparison.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "../bench/result_store.hh"
 #include "core/hintm.hh"
@@ -33,73 +37,79 @@ observedOpts(htm::HtmKind kind)
     o.collectTxSizes = true;
     o.collectRawStats = true;
     o.profileSharing = true;
+    o.journal = true;
+    o.metrics = true;
     return o;
+}
+
+/** Every export of a run: its stats-JSON record, its Perfetto
+ * timeline and its RunResult encoding. */
+std::string
+allExports(const sim::RunResult &r)
+{
+    const std::vector<sim::JournalRun> runs = {{"w", "c", 8, &r}};
+    std::ostringstream trace;
+    sim::writePerfettoTrace(trace, runs);
+    return sim::statsJsonRecord(runs[0]) + "\n" + trace.str() + "\n" +
+           bench::encodeRunResult(r);
 }
 
 void
 expectSameResult(const sim::RunResult &a, const sim::RunResult &b,
                  const std::string &what)
 {
-    // Spot checks first (readable failures), then the full encoding.
+    // Spot checks first (readable failures), then the full exports.
     EXPECT_EQ(a.cycles, b.cycles) << what;
     EXPECT_EQ(a.instructions, b.instructions) << what;
     EXPECT_EQ(a.committedTxs, b.committedTxs) << what;
     EXPECT_EQ(a.htm.totalAborts(), b.htm.totalAborts()) << what;
     EXPECT_EQ(a.rawStats, b.rawStats) << what;
-    EXPECT_EQ(bench::encodeRunResult(a), bench::encodeRunResult(b))
-        << what;
+    EXPECT_EQ(allExports(a), allExports(b)) << what;
 }
 
 } // namespace
 
 TEST(Snapshot, RestoreIntoFreshMachineResumesBitIdentical)
 {
-    workloads::Workload wl =
-        workloads::byName("intruder", workloads::Scale::Tiny);
-    core::compileHints(wl.module);
-    const core::SystemOptions opts = observedOpts(htm::HtmKind::P8);
-    const sim::MachineConfig cfg = core::makeMachineConfig(opts);
+    struct Case
+    {
+        const char *workload;
+        htm::HtmKind kind;
+        unsigned cores;
+        bool journalAndMetrics;
+    };
+    // The 32-context case snapshots the directory machine with live
+    // sharer/owner/tracker state. The last case leaves the journal and
+    // metrics parts of the snapshot empty.
+    for (const Case &c : {Case{"kmeans", htm::HtmKind::P8, 8, true},
+                          Case{"kmeans", htm::HtmKind::L1TM, 8, true},
+                          Case{"intruder", htm::HtmKind::P8, 8, true},
+                          Case{"intruder", htm::HtmKind::L1TM, 8, true},
+                          Case{"intruder@32", htm::HtmKind::P8S, 32, true},
+                          Case{"kmeans", htm::HtmKind::P8S, 8, false}}) {
+        const std::string what =
+            std::string(c.workload) + "/" + htm::htmKindName(c.kind);
+        workloads::Workload wl =
+            workloads::byName(c.workload, workloads::Scale::Tiny);
+        core::compileHints(wl.module);
+        core::SystemOptions opts = observedOpts(c.kind);
+        opts.numCores = c.cores;
+        opts.journal = opts.metrics = c.journalAndMetrics;
+        const sim::MachineConfig cfg = core::makeMachineConfig(opts);
 
-    const sim::RunResult cold =
-        sim::runMachine(cfg, wl.module, wl.threads);
+        const sim::RunResult cold =
+            sim::runMachine(cfg, wl.module, wl.threads);
 
-    sim::SimRun a(cfg, wl.module, wl.threads);
-    a.runUntilCommits(cold.committedTxs / 2);
-    ASSERT_FALSE(a.finished());
-    const sim::MachineSnapshot snap = a.snapshot();
-    const sim::RunResult resumedSelf = a.finish();
-    expectSameResult(cold, resumedSelf, "self-resume");
+        sim::SimRun a(cfg, wl.module, wl.threads);
+        a.runUntilCommits(cold.committedTxs / 2);
+        ASSERT_FALSE(a.finished()) << what;
+        const sim::MachineSnapshot snap = a.snapshot();
+        expectSameResult(cold, a.finish(), what + " self-resume");
 
-    sim::SimRun b(cfg, wl.module, wl.threads);
-    b.restore(snap);
-    const sim::RunResult resumedFresh = b.finish();
-    expectSameResult(cold, resumedFresh, "fresh-restore");
-}
-
-TEST(Snapshot, DirectoryStateRidesThroughAtThirtyTwoContexts)
-{
-    // A mid-run snapshot on the 32-context directory machine carries
-    // live sharer/owner/tracker state; restoring into a fresh machine
-    // must still finish bit-identical to the uninterrupted run.
-    workloads::Workload wl =
-        workloads::byName("intruder@32", workloads::Scale::Tiny);
-    core::compileHints(wl.module);
-    core::SystemOptions opts = observedOpts(htm::HtmKind::P8S);
-    opts.numCores = 32;
-    const sim::MachineConfig cfg = core::makeMachineConfig(opts);
-
-    const sim::RunResult cold =
-        sim::runMachine(cfg, wl.module, wl.threads);
-    ASSERT_GT(cold.committedTxs, 0u);
-
-    sim::SimRun a(cfg, wl.module, wl.threads);
-    a.runUntilCommits(cold.committedTxs / 2);
-    ASSERT_FALSE(a.finished());
-    const sim::MachineSnapshot snap = a.snapshot();
-
-    sim::SimRun b(cfg, wl.module, wl.threads);
-    b.restore(snap);
-    expectSameResult(cold, b.finish(), "32-context fresh-restore");
+        sim::SimRun b(cfg, wl.module, wl.threads);
+        b.restore(snap);
+        expectSameResult(cold, b.finish(), what + " fresh-restore");
+    }
 }
 
 TEST(Snapshot, SchedulerIndexRidesThroughAtThirtyTwoContexts)
@@ -162,8 +172,8 @@ TEST(Snapshot, AllBlockedContextsPanicWithDiagnosticsDump)
     ASSERT_FALSE(probe.finished());
     sim::MachineSnapshot snap = probe.snapshot();
     for (sim::MachineContextSnapshot &cs : snap.ctxs)
-        if (!cs.done)
-            cs.atBarrier = true;
+        if (!cs.runtime.done)
+            cs.runtime.atBarrier = true;
 
     for (const bool use_index : {true, false}) {
         cfg.schedIndex = use_index;
@@ -192,82 +202,31 @@ TEST(Snapshot, AllBlockedContextsPanicWithDiagnosticsDump)
     }
 }
 
-TEST(Snapshot, CarriesTheJournalAcrossRestore)
+TEST(Snapshot, FinishedResultSurvivesRestore)
 {
+    // A result handed out by finish() owns what it reports: restoring
+    // the machine afterwards (as the explorer does between branches)
+    // must not rewrite it.
     workloads::Workload wl =
         workloads::byName("kmeans", workloads::Scale::Tiny);
     core::compileHints(wl.module);
-    core::SystemOptions opts = observedOpts(htm::HtmKind::P8);
-    opts.journal = true;
-    const sim::MachineConfig cfg = core::makeMachineConfig(opts);
+    const sim::MachineConfig cfg =
+        core::makeMachineConfig(observedOpts(htm::HtmKind::P8));
 
-    sim::SimRun a(cfg, wl.module, wl.threads);
-    a.runUntilCommits(3);
-    const sim::MachineSnapshot snap = a.snapshot();
-    ASSERT_TRUE(snap.hasJournal);
-    const sim::RunResult cold = a.finish();
-    ASSERT_NE(cold.journal, nullptr);
+    sim::SimRun run(cfg, wl.module, wl.threads);
+    run.runUntilCommits(3);
+    const sim::MachineSnapshot snap = run.snapshot();
+    const sim::RunResult r1 = run.finish();
+    const std::string before = allExports(r1);
+    const std::uint64_t pushed = r1.journal->pushed();
+    const std::uint64_t commits = r1.metrics->trackedAtCommit.count;
 
-    sim::SimRun b(cfg, wl.module, wl.threads);
-    b.restore(snap);
-    const sim::RunResult resumed = b.finish();
-    ASSERT_NE(resumed.journal, nullptr);
-    EXPECT_EQ(resumed.journal->size(), cold.journal->size());
-    EXPECT_EQ(sim::journalSummary(resumed), sim::journalSummary(cold));
-    EXPECT_EQ(bench::encodeRunResult(resumed),
-              bench::encodeRunResult(cold));
-}
-
-TEST(Snapshot, CarriesTheMetricsAcrossRestore)
-{
-    // Same shape as the journal round-trip: a snapshot taken mid-run
-    // must carry the metrics registry (and each context's in-flight
-    // measurement) so a restored machine finishes with the exact
-    // aggregates of the uninterrupted one.
-    workloads::Workload wl =
-        workloads::byName("intruder", workloads::Scale::Tiny);
-    core::compileHints(wl.module);
-    core::SystemOptions opts = observedOpts(htm::HtmKind::P8);
-    opts.metrics = true;
-    const sim::MachineConfig cfg = core::makeMachineConfig(opts);
-
-    sim::SimRun a(cfg, wl.module, wl.threads);
-    a.runUntilCommits(3);
-    const sim::MachineSnapshot snap = a.snapshot();
-    ASSERT_TRUE(snap.hasMetrics);
-    const sim::RunResult cold = a.finish();
-    ASSERT_NE(cold.metrics, nullptr);
-
-    sim::SimRun b(cfg, wl.module, wl.threads);
-    b.restore(snap);
-    const sim::RunResult resumed = b.finish();
-    ASSERT_NE(resumed.metrics, nullptr);
-    EXPECT_EQ(bench::encodeRunResult(resumed),
-              bench::encodeRunResult(cold));
-
-    // The registries themselves must match field for field, including
-    // state that was mid-flight at snapshot time.
-    const MetricsRegistry &mc = *cold.metrics;
-    const MetricsRegistry &mr = *resumed.metrics;
-    EXPECT_EQ(mr.capacityAborts, mc.capacityAborts);
-    EXPECT_EQ(mr.hintSavedCommits, mc.hintSavedCommits);
-    EXPECT_EQ(mr.skipStaticAccesses, mc.skipStaticAccesses);
-    EXPECT_EQ(mr.skipDynAccesses, mc.skipDynAccesses);
-    EXPECT_EQ(mr.trackedAtCommit.count, mc.trackedAtCommit.count);
-    EXPECT_EQ(mr.trackedAtCommit.sum, mc.trackedAtCommit.sum);
-    EXPECT_EQ(mr.sharersAtBus.count, mc.sharersAtBus.count);
-    EXPECT_EQ(mr.fallbackSeries.samples(), mc.fallbackSeries.samples());
-    EXPECT_EQ(mr.numaMatrix(), mc.numaMatrix());
-    ASSERT_EQ(mr.sites().size(), mc.sites().size());
-    for (const auto &kv : mc.sites()) {
-        const auto it = mr.sites().find(kv.first);
-        ASSERT_NE(it, mr.sites().end());
-        EXPECT_EQ(it->second.commits, kv.second.commits);
-        EXPECT_EQ(it->second.skippedBlocksSum,
-                  kv.second.skippedBlocksSum);
-        EXPECT_EQ(it->second.peakTrackedSum, kv.second.peakTrackedSum);
-    }
-    EXPECT_EQ(sim::metricsSummary(resumed), sim::metricsSummary(cold));
+    run.restore(snap);
+    EXPECT_EQ(r1.journal->pushed(), pushed);
+    EXPECT_EQ(r1.metrics->trackedAtCommit.count, commits);
+    EXPECT_EQ(allExports(r1), before);
+    // The restored machine replays the same finish.
+    EXPECT_EQ(allExports(run.finish()), before);
 }
 
 TEST(Snapshot, SnapshotItselfPerturbsNothing)

@@ -21,7 +21,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,6 +29,7 @@
 #include "common/cli.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
+#include "common/tx_site.hh"
 #include "core/hintm.hh"
 #include "sim/journal_io.hh"
 #include "workloads/workloads.hh"
@@ -265,14 +265,6 @@ main(int argc, char **argv)
     const TxJournal &jb = *rb.journal;
     const TxJournal &jf = *rf.journal;
 
-    // Journal site stats keyed by rendered site name, for fusing with
-    // the metrics pressure ranking (both layers render sites the same
-    // way, so the name is a stable join key).
-    std::map<std::string, const TxJournal::SiteStats *> fullSites;
-    for (const auto &kv : jf.sites())
-        fullSites[jf.siteName(kv.second.fn, kv.second.block,
-                              kv.second.instr)] = &kv.second;
-
     const std::string title =
         "HinTM capacity-pressure & hint-effectiveness report";
     std::vector<std::string> preamble;
@@ -362,14 +354,15 @@ main(int argc, char **argv)
         const std::size_t n = std::min(top_n, sites.size());
         for (std::size_t i = 0; i < n; ++i) {
             const MetricsRegistry::SiteMetrics &sm = *sites[i];
-            const std::string name =
-                mf.siteName(sm.fn, sm.block, sm.instr);
-            const auto it = fullSites.find(name);
+            // The journal and the registry key sites alike.
+            const auto it =
+                jf.sites().find(siteKey(sm.fn, sm.block, sm.instr));
             const std::uint64_t lost =
-                it != fullSites.end() ? it->second->cyclesLostToAborts
-                                      : 0;
+                it != jf.sites().end() ? it->second.cyclesLostToAborts
+                                       : 0;
             s.rows.push_back(
-                {name, u64(sm.capacityAborts),
+                {mf.names().siteName(sm.fn, sm.block, sm.instr),
+                 u64(sm.capacityAborts),
                  fixed1(sm.capacityAborts
                             ? double(sm.trackedAtCapacitySum) /
                                   sm.capacityAborts

@@ -84,7 +84,7 @@ usage(int code)
         "(default ~/.cache/hintm)\n"
         "  --no-disk-cache     run without the persistent result cache\n"
         "  --cache-clear       wipe the cache directory before running\n"
-        "  --trace CATS        trace categories (tx,htm,vm,mem,sched|all)\n"
+        "  --trace CATS        trace categories (tx,vm,sched,journal|all)\n"
         "  --list              list workloads and exit\n");
     std::exit(code);
 }
