@@ -121,14 +121,17 @@ setLintOnPrepare(bool on)
 }
 
 PreparedWorkload
-prepare(const std::string &name, workloads::Scale s)
+prepare(const std::string &name, workloads::Scale s, unsigned threads)
 {
-    PreparedWorkload p{workloads::byName(name, s), {}, s};
+    PreparedWorkload p{
+        workloads::byName(
+            threads ? name + "@" + std::to_string(threads) : name, s),
+        {}, s};
     p.compileReport = core::compileHints(p.wl.module);
     if (lintOnPrepare) {
         const compiler::LintReport lr = compiler::lintRaces(p.wl.module);
         if (!lr.clean()) {
-            HINTM_FATAL("--lint: ", name, ": ", lr.summary(), "\n",
+            HINTM_FATAL("--lint: ", p.wl.name, ": ", lr.summary(), "\n",
                         lr.render());
         }
     }
@@ -193,13 +196,6 @@ state()
     return s;
 }
 
-unsigned
-jobThreads(const MatrixJob &job)
-{
-    return job.threadsOverride ? job.threadsOverride
-                               : job.wl->wl.threads;
-}
-
 /** Content fingerprint of a module: FNV-1a over its rendered text,
  * which includes every instruction and safety bit. Keyed by content —
  * not by pointer — because hintm_lint --mutate rewrites modules in
@@ -223,7 +219,7 @@ jobKeyWithFp(const MatrixJob &job, std::uint64_t fp)
     std::snprintf(fpbuf, sizeof(fpbuf), "%016llx",
                   static_cast<unsigned long long>(fp));
     os << job.wl->wl.name << '|' << unsigned(job.wl->scale) << '|'
-       << jobThreads(job) << '|' << fpbuf << '|'
+       << job.wl->wl.threads << '|' << fpbuf << '|'
        << unsigned(o.htmKind) << '|'
        << unsigned(o.mechanism) << '|' << o.preserveReadOnly
        << o.notaryAnnotations << o.preAbortHandler
@@ -291,7 +287,7 @@ recordJson(const MatrixJob &job, const sim::RunResult &r,
     std::ostringstream os;
     os << "{\"workload\":\"" << jsonEscape(job.wl->wl.name)
        << "\",\"config\":\"" << jsonEscape(job.opts.label())
-       << "\",\"threads\":" << jobThreads(job) << ",\"wall_ms\":";
+       << "\",\"threads\":" << job.wl->wl.threads << ",\"wall_ms\":";
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.3f", wall_ms);
     os << buf << ",\"cycles\":" << r.cycles
@@ -459,7 +455,7 @@ runMatrix(const std::vector<MatrixJob> &jobs, unsigned host_jobs)
     unsigned max_sim_threads = 1;
     for (const MatrixJob &j : jobs) {
         if (j.wl)
-            max_sim_threads = std::max(max_sim_threads, jobThreads(j));
+            max_sim_threads = std::max(max_sim_threads, j.wl->wl.threads);
     }
     const unsigned workers = effectiveJobs(host_jobs, max_sim_threads);
     std::shared_ptr<const ResultStore> disk;
@@ -519,13 +515,13 @@ runMatrix(const std::vector<MatrixJob> &jobs, unsigned host_jobs)
         const MatrixJob &job = jobs[i];
         const auto t0 = std::chrono::steady_clock::now();
         results[i] = core::simulate(job.opts, job.wl->wl.module,
-                                    jobThreads(job));
+                                    job.wl->wl.threads);
         const double wall_ms =
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - t0)
                 .count();
         recordJson(job, results[i], wall_ms);
-        recordObservability(job.wl->wl.name, job.opts, jobThreads(job),
+        recordObservability(job.wl->wl.name, job.opts, job.wl->wl.threads,
                             results[i]);
         if (disk && !job.opts.journal && !job.opts.metrics) {
             disk->store(keys[i], results[i]);

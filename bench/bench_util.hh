@@ -80,7 +80,11 @@ struct PreparedWorkload
     workloads::Scale scale = workloads::Scale::Small;
 };
 
-PreparedWorkload prepare(const std::string &name, workloads::Scale s);
+/** Build and hint-compile a workload. A module is partitioned for the
+ * thread count it is built for, so @p threads > 0 builds "name@N"
+ * (0 = the workload's own count). */
+PreparedWorkload prepare(const std::string &name, workloads::Scale s,
+                         unsigned threads = 0);
 
 /** Run a prepared workload under the given options (no cache). */
 sim::RunResult run(const PreparedWorkload &p, core::SystemOptions opts);
@@ -93,8 +97,6 @@ struct MatrixJob
 {
     const PreparedWorkload *wl = nullptr;
     core::SystemOptions opts;
-    /** 0 = the workload's own thread count. */
-    unsigned threadsOverride = 0;
 };
 
 /**

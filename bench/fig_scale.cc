@@ -72,8 +72,7 @@ main(int argc, char **argv)
     std::vector<bench::MatrixJob> jobs;
     for (const std::string &name : names) {
         for (unsigned cores : coreCounts) {
-            prepared.push_back(bench::prepare(
-                name + "@" + std::to_string(cores), args.scale));
+            prepared.push_back(bench::prepare(name, args.scale, cores));
         }
     }
     std::size_t p_idx = 0;

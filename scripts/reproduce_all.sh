@@ -32,9 +32,4 @@ for b in "${benches[@]}"; do
     echo
 done
 
-echo "== micro_components (google-benchmark) =="
-"$BUILD/bench/micro_components" --benchmark_min_time=0.1s \
-    | tee "$OUT/micro_components.txt"
-
-echo
 echo "All outputs written to $OUT/. Compare against EXPERIMENTS.md."

@@ -201,7 +201,7 @@ class TxJournal
     std::vector<const SiteStats *> sitesByAborts() const;
 
     /** Sites sorted by cycles lost to aborts (desc), then total aborts
-     * (desc), then site id — the cost-ranked view hintm_profile
+     * (desc), then site id — the cost-ranked view hintm_run --journal
      * prints: a site with few but long-running aborted attempts
      * outranks one with many cheap ones. */
     std::vector<const SiteStats *> sitesByCyclesLost() const;

@@ -296,12 +296,6 @@ class MetricsRegistry
         /** Tracked blocks at capacity-abort time, summed over capacity
          * aborts at this site. */
         std::uint64_t trackedAtCapacitySum = 0;
-
-        std::uint64_t
-        skippedAccesses() const
-        {
-            return skipStatic + skipDyn + skipAnnot;
-        }
     };
 
     // ---- folding (called by the machine) ----------------------------

@@ -1,5 +1,6 @@
 #include "controller.hh"
 
+#include <cctype>
 #include <limits>
 
 #include "common/logging.hh"
@@ -45,6 +46,22 @@ htmKindName(HtmKind k)
       case HtmKind::InfCap: return "InfCap";
     }
     return "?";
+}
+
+bool
+htmKindByName(const std::string &name, HtmKind &out)
+{
+    for (HtmKind k :
+         {HtmKind::P8, HtmKind::P8S, HtmKind::L1TM, HtmKind::InfCap}) {
+        std::string lower = htmKindName(k);
+        for (char &c : lower)
+            c = char(std::tolower(static_cast<unsigned char>(c)));
+        if (name == lower) {
+            out = k;
+            return true;
+        }
+    }
+    return false;
 }
 
 namespace

@@ -11,6 +11,7 @@
 #define HINTM_HTM_CONTROLLER_HH
 
 #include <functional>
+#include <string>
 
 #include "common/flat_set.hh"
 #include "common/stats.hh"
@@ -42,6 +43,10 @@ enum class HtmKind : std::uint8_t
 };
 
 const char *htmKindName(HtmKind k);
+
+/** Parse the lower-case CLI spelling of a kind ("p8", "p8s", "l1tm",
+ * "infcap"): false, leaving @p out untouched, for any other string. */
+bool htmKindByName(const std::string &name, HtmKind &out);
 
 /** Who loses an eager conflict between two hardware TXs. */
 enum class ConflictPolicy : std::uint8_t
@@ -218,7 +223,6 @@ class HtmController : public mem::SnoopListener
     bool inTx() const { return inTx_; }
     bool abortPending() const { return abortPending_; }
     AbortReason pendingReason() const { return pendingReason_; }
-    Cycle txStartCycle() const { return txStart_; }
 
     // Abort attribution (journal observability). Captured at the point
     // the abort is signalled; valid from then until the next abort.

@@ -181,12 +181,6 @@ class MemorySystem
      */
     AccessResult access(ContextId ctx, Addr addr, AccessType type);
 
-    /** Number of registered contexts. */
-    unsigned numContexts() const { return unsigned(contexts_.size()); }
-
-    /** L1 id backing a context. */
-    unsigned l1Of(ContextId ctx) const { return contexts_[ctx].l1; }
-
     /** Probe a context's L1 for a block (testing aid). */
     const CacheLine *probeL1(ContextId ctx, Addr addr) const;
 

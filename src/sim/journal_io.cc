@@ -305,7 +305,7 @@ defaultIntervalWindow(Cycle run_cycles)
 }
 
 std::string
-statsJsonRecord(const JournalRun &run, Cycle window)
+statsJsonRecord(const JournalRun &run)
 {
     HINTM_ASSERT(run.result != nullptr, "stats record needs a result");
     const RunResult &r = *run.result;
@@ -396,7 +396,7 @@ statsJsonRecord(const JournalRun &run, Cycle window)
     }
     os << "],";
 
-    const Cycle w = window ? window : defaultIntervalWindow(r.cycles);
+    const Cycle w = defaultIntervalWindow(r.cycles);
     os << "\"intervals\":{\"window\":" << w << ",\"samples\":[";
     const auto samples = j.sampleIntervals(w);
     for (std::size_t i = 0; i < samples.size(); ++i) {
@@ -422,27 +422,25 @@ statsJsonRecord(const JournalRun &run, Cycle window)
 }
 
 void
-writeStatsJson(std::ostream &os, const std::vector<JournalRun> &runs,
-               Cycle window)
+writeStatsJson(std::ostream &os, const std::vector<JournalRun> &runs)
 {
     os << "[\n";
     for (std::size_t i = 0; i < runs.size(); ++i) {
-        os << "  " << statsJsonRecord(runs[i], window)
+        os << "  " << statsJsonRecord(runs[i])
            << (i + 1 < runs.size() ? ",\n" : "\n");
     }
     os << "]\n";
 }
 
 bool
-writeStatsJson(const std::string &path,
-               const std::vector<JournalRun> &runs, Cycle window)
+writeStatsJson(const std::string &path, const std::vector<JournalRun> &runs)
 {
     std::ofstream os(path);
     if (!os) {
         warn("cannot write stats JSON to ", path);
         return false;
     }
-    writeStatsJson(os, runs, window);
+    writeStatsJson(os, runs);
     return true;
 }
 
@@ -501,10 +499,9 @@ renderAttributionTable(const TxJournal &journal, std::size_t top_n)
 }
 
 std::string
-renderIntervalTable(const TxJournal &journal, Cycle run_cycles,
-                    Cycle window)
+renderIntervalTable(const TxJournal &journal, Cycle run_cycles)
 {
-    const Cycle w = window ? window : defaultIntervalWindow(run_cycles);
+    const Cycle w = defaultIntervalWindow(run_cycles);
     const auto samples = journal.sampleIntervals(w);
     TextTable t;
     t.header({"cycle", "commits", "aborts", "conflict", "capacity",

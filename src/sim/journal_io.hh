@@ -4,8 +4,9 @@
  * timelines (one track per hardware context), a machine-readable stats
  * record (supersedes parsing RunResult::rawStats), the capacity-pressure
  * metrics section and Perfetto counter tracks for metrics-carrying runs,
- * and the per-site abort-attribution table used by hintm_profile. Pure
- * output formatting: nothing here mutates the journal or the simulation.
+ * and the per-site abort-attribution and interval tables that hintm_run
+ * --journal prints. Pure output formatting: nothing here mutates the
+ * journal or the simulation.
  */
 
 #ifndef HINTM_SIM_JOURNAL_IO_HH
@@ -55,23 +56,19 @@ bool writePerfettoTrace(const std::string &path,
  * stats keyed by abort-reason name, access mix, pages) plus — when the
  * run carried a journal — exact journal aggregates, the per-site
  * attribution list with hottest offending blocks, and the interval time
- * series folded at @p window cycles (0 = a default derived from the
- * run length). Runs carrying capacity-pressure metrics additionally get
- * a "metrics" section (growth curves, overflow-set occupancy, per-site
- * hint effectiveness, fallback/sharer/NUMA telemetry); others get
- * "metrics": null.
+ * series folded at defaultIntervalWindow(run cycles). Runs carrying
+ * capacity-pressure metrics additionally get a "metrics" section
+ * (growth curves, overflow-set occupancy, per-site hint effectiveness,
+ * fallback/sharer/NUMA telemetry); others get "metrics": null.
  */
-std::string statsJsonRecord(const JournalRun &run, Cycle window = 0);
+std::string statsJsonRecord(const JournalRun &run);
 
 /** Write a JSON array of statsJsonRecord objects, one per run. */
-void writeStatsJson(std::ostream &os,
-                    const std::vector<JournalRun> &runs,
-                    Cycle window = 0);
+void writeStatsJson(std::ostream &os, const std::vector<JournalRun> &runs);
 
 /** File convenience wrapper; warns and returns false on I/O failure. */
 bool writeStatsJson(const std::string &path,
-                    const std::vector<JournalRun> &runs,
-                    Cycle window = 0);
+                    const std::vector<JournalRun> &runs);
 
 /**
  * The per-site abort-attribution table: top @p top_n sites by cycles
@@ -82,9 +79,10 @@ bool writeStatsJson(const std::string &path,
 std::string renderAttributionTable(const TxJournal &journal,
                                    std::size_t top_n = 10);
 
-/** Interval time series rendered as a text table (@p window as above). */
+/** Interval time series rendered as a text table, folded at
+ * defaultIntervalWindow(@p run_cycles). */
 std::string renderIntervalTable(const TxJournal &journal,
-                                Cycle run_cycles, Cycle window = 0);
+                                Cycle run_cycles);
 
 /** ~50 windows over the run, rounded to a friendly power of ten. */
 Cycle defaultIntervalWindow(Cycle run_cycles);

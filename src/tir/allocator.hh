@@ -49,8 +49,6 @@ class Allocator
      * Purely observational — allocation behavior is unaffected. */
     std::function<void(Addr, std::uint64_t)> onRelease;
 
-    unsigned numArenas() const { return unsigned(arenas_.size()); }
-
   private:
     struct Arena
     {

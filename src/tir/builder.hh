@@ -119,7 +119,6 @@ class FunctionBuilder
     // --- raw block access (for irregular control flow) ---------------
     int newBlock();
     void setBlock(int b);
-    int currentBlock() const { return cur_; }
     void br(int target);
     void condBr(Reg cond, int if_true, int if_false);
 

@@ -15,6 +15,29 @@ namespace hintm
 namespace workloads
 {
 
+const char *
+scaleLabel(Scale s)
+{
+    switch (s) {
+      case Scale::Tiny: return "tiny";
+      case Scale::Small: return "small";
+      case Scale::Large: return "large";
+    }
+    return "?";
+}
+
+bool
+scaleByName(const std::string &name, Scale &out)
+{
+    for (Scale s : {Scale::Tiny, Scale::Small, Scale::Large}) {
+        if (name == scaleLabel(s)) {
+            out = s;
+            return true;
+        }
+    }
+    return false;
+}
+
 const std::vector<std::string> &
 allNames()
 {

@@ -31,6 +31,16 @@ enum class Scale : std::uint8_t
     Large,
 };
 
+/** "tiny" | "small" | "large": the spelling every CLI flag and .sched
+ * file uses. (Not scaleName: perfbench.cc keeps a file-local
+ * scaleName(Scale) that argument-dependent lookup would make
+ * ambiguous.) */
+const char *scaleLabel(Scale s);
+
+/** Inverse of scaleLabel: false, leaving @p out untouched, for any
+ * other string. */
+bool scaleByName(const std::string &name, Scale &out);
+
 /** A ready-to-compile workload. */
 struct Workload
 {

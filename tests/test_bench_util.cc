@@ -177,7 +177,7 @@ TEST(JobKey, GoldenFormatIsStable)
     const bench::PreparedWorkload p =
         bench::prepare("kmeans", workloads::Scale::Tiny);
     const core::SystemOptions o; // paper defaults
-    const bench::MatrixJob job{&p, o, 0};
+    const bench::MatrixJob job{&p, o};
 
     // The module fingerprint is recomputed independently so the golden
     // string stays valid when workload content evolves; everything else
@@ -201,7 +201,7 @@ TEST(JobKey, TracksInPlaceModuleMutation)
     bench::PreparedWorkload p =
         bench::prepare("kmeans", workloads::Scale::Tiny);
     const core::SystemOptions o;
-    const bench::MatrixJob job{&p, o, 0};
+    const bench::MatrixJob job{&p, o};
     const std::string before = bench::matrixJobKey(job);
 
     for (auto &fn : p.wl.module.functions) {

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "htm/controller.hh"
 #include "htm/signature.hh"
 #include "htm/tx_buffer.hh"
@@ -406,4 +408,29 @@ TEST(Controller, InterestMatchesEventProcessingPredicate)
     ASSERT_FALSE(interested);           // ...and the abort dropped it
     f.ctl->onEviction(blk(1), false);   // ignored while abort pending
     EXPECT_EQ(f.ctl->pendingReason(), AbortReason::Conflict);
+}
+
+TEST(HtmKindNames, ByNameParsesLowerCaseSpellingOfEveryKind)
+{
+    const std::pair<const char *, HtmKind> table[] = {
+        {"p8", HtmKind::P8},
+        {"p8s", HtmKind::P8S},
+        {"l1tm", HtmKind::L1TM},
+        {"infcap", HtmKind::InfCap},
+    };
+    for (const auto &[name, kind] : table) {
+        HtmKind parsed = kind == HtmKind::P8 ? HtmKind::InfCap : HtmKind::P8;
+        ASSERT_TRUE(htmKindByName(name, parsed)) << name;
+        EXPECT_EQ(parsed, kind) << name;
+    }
+}
+
+TEST(HtmKindNames, UnknownNameLeavesOutputUntouched)
+{
+    // Only the lower-case CLI spelling parses, not htmKindName's.
+    for (const std::string bad : {"", "P8", "InfCap", "l1", "p8s "}) {
+        HtmKind k = HtmKind::L1TM;
+        EXPECT_FALSE(htmKindByName(bad, k)) << '"' << bad << '"';
+        EXPECT_EQ(k, HtmKind::L1TM);
+    }
 }

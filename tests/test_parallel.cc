@@ -192,14 +192,18 @@ TEST(RunMatrix, CacheDedupsWithinAndAcrossCalls)
 
 TEST(RunMatrix, ThreadsOverrideIsPartOfTheCacheKey)
 {
+    // A thread-count override builds "kmeans@2", a module of its own.
     const bench::PreparedWorkload p =
         bench::prepare("kmeans", workloads::Scale::Tiny);
+    const bench::PreparedWorkload p2 =
+        bench::prepare("kmeans", workloads::Scale::Tiny, 2);
+    ASSERT_EQ(p2.wl.name, "kmeans@2");
+    ASSERT_EQ(p2.wl.threads, 2u);
     core::SystemOptions o;
     o.htmKind = htm::HtmKind::P8;
 
     bench::clearMatrixCache();
-    const auto res =
-        bench::runMatrix({{&p, o, 0}, {&p, o, 2}}, 2);
+    const auto res = bench::runMatrix({{&p, o}, {&p2, o}}, 2);
     const auto st = bench::matrixCacheStats();
     EXPECT_EQ(st.misses, 2u); // different thread counts: both simulate
     EXPECT_NE(res[0].cycles, res[1].cycles);

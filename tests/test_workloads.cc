@@ -232,3 +232,25 @@ TEST(WorkloadInvariants, FirstSlotHelperCompiles)
     const sim::RunResult r = runTiny(w, core::Mechanism::Baseline);
     EXPECT_GE(firstSlot(r, "g_qhead"), 10);
 }
+
+TEST(ScaleNames, ByNameInvertsLabelForEveryScale)
+{
+    for (const Scale s : {Scale::Tiny, Scale::Small, Scale::Large}) {
+        Scale parsed = s == Scale::Tiny ? Scale::Large : Scale::Tiny;
+        ASSERT_TRUE(workloads::scaleByName(workloads::scaleLabel(s), parsed))
+            << workloads::scaleLabel(s);
+        EXPECT_EQ(parsed, s);
+    }
+    EXPECT_STREQ(workloads::scaleLabel(Scale::Tiny), "tiny");
+    EXPECT_STREQ(workloads::scaleLabel(Scale::Small), "small");
+    EXPECT_STREQ(workloads::scaleLabel(Scale::Large), "large");
+}
+
+TEST(ScaleNames, UnknownNameLeavesOutputUntouched)
+{
+    for (const std::string bad : {"", "Tiny", "huge", "tiny ", "--tiny"}) {
+        Scale s = Scale::Small;
+        EXPECT_FALSE(workloads::scaleByName(bad, s)) << '"' << bad << '"';
+        EXPECT_EQ(s, Scale::Small);
+    }
+}

@@ -72,17 +72,6 @@ usage(int code)
     std::exit(code);
 }
 
-const char *
-scaleName(workloads::Scale s)
-{
-    switch (s) {
-      case workloads::Scale::Tiny: return "tiny";
-      case workloads::Scale::Small: return "small";
-      case workloads::Scale::Large: return "large";
-    }
-    return "?";
-}
-
 /** Everything needed to rebuild a run from a schedule file. */
 struct Setup
 {
@@ -98,8 +87,9 @@ std::string
 encodeConfig(const Setup &s)
 {
     std::ostringstream os;
-    os << "scale=" << scaleName(s.scale) << " threads=" << s.threads
-       << " retries=" << s.retries << " bug=" << (s.bug ? 1 : 0);
+    os << "scale=" << workloads::scaleLabel(s.scale)
+       << " threads=" << s.threads << " retries=" << s.retries
+       << " bug=" << (s.bug ? 1 : 0);
     return os.str();
 }
 
@@ -115,13 +105,7 @@ decodeConfig(const std::string &str, Setup &s)
         const std::string k = kv.substr(0, eq);
         const std::string v = kv.substr(eq + 1);
         if (k == "scale") {
-            if (v == "tiny")
-                s.scale = workloads::Scale::Tiny;
-            else if (v == "small")
-                s.scale = workloads::Scale::Small;
-            else if (v == "large")
-                s.scale = workloads::Scale::Large;
-            else
+            if (!workloads::scaleByName(v, s.scale))
                 return false;
         } else if (k == "threads" || k == "retries") {
             std::uint64_t n = 0;
@@ -286,21 +270,10 @@ main(int argc, char **argv)
         if (a == "--workload") {
             s.workload = next();
         } else if (a == "--scale") {
-            const std::string v = next();
-            if (v == "tiny")
-                s.scale = workloads::Scale::Tiny;
-            else if (v == "small")
-                s.scale = workloads::Scale::Small;
-            else if (v == "large")
-                s.scale = workloads::Scale::Large;
-            else
+            if (!workloads::scaleByName(next(), s.scale))
                 usage(2);
-        } else if (a == "--tiny") {
-            s.scale = workloads::Scale::Tiny;
-        } else if (a == "--small") {
-            s.scale = workloads::Scale::Small;
-        } else if (a == "--large") {
-            s.scale = workloads::Scale::Large;
+        } else if (a == "--tiny" || a == "--small" || a == "--large") {
+            workloads::scaleByName(a.substr(2), s.scale);
         } else if (a == "--threads") {
             s.threads = parseFlag<unsigned>(a, next());
         } else if (a == "--seed") {

@@ -90,7 +90,7 @@ struct LintOutcome
 
 LintOutcome
 lintWorkload(const std::string &name, workloads::Scale scale,
-             bool run_oracle, unsigned host_jobs, bool verbose)
+             bool run_oracle, unsigned host_jobs)
 {
     LintOutcome out;
     bench::PreparedWorkload p;
@@ -109,7 +109,7 @@ lintWorkload(const std::string &name, workloads::Scale scale,
         core::SystemOptions opts;
         opts.mechanism = core::Mechanism::Full;
         opts.hintOracle = true;
-        const std::vector<bench::MatrixJob> jobs = {{&p, opts, 0}};
+        const std::vector<bench::MatrixJob> jobs = {{&p, opts}};
         const sim::RunResult r = bench::runMatrix(jobs, host_jobs)[0];
         out.oracleWitnesses = unsigned(r.oracleWitnesses.size());
         std::printf("%-10s oracle : %zu witness(es), %llu safe accesses "
@@ -120,7 +120,6 @@ lintWorkload(const std::string &name, workloads::Scale scale,
         for (const auto &w : r.oracleWitnesses)
             std::printf("%s\n", w.c_str());
     }
-    (void)verbose;
     return out;
 }
 
@@ -156,7 +155,7 @@ mutateWorkload(const std::string &name, workloads::Scale scale,
     core::SystemOptions opts;
     opts.mechanism = core::Mechanism::Full;
     opts.hintOracle = true;
-    const std::vector<bench::MatrixJob> jobs = {{&p, opts, 0}};
+    const std::vector<bench::MatrixJob> jobs = {{&p, opts}};
     const sim::RunResult r = bench::runMatrix(jobs, host_jobs)[0];
     const bool hit_oracle = !r.oracleWitnesses.empty();
 
@@ -196,14 +195,7 @@ main(int argc, char **argv)
         if (a == "--workload") {
             workload = next();
         } else if (a == "--scale") {
-            const std::string s = next();
-            if (s == "tiny")
-                scale = workloads::Scale::Tiny;
-            else if (s == "small")
-                scale = workloads::Scale::Small;
-            else if (s == "large")
-                scale = workloads::Scale::Large;
-            else
+            if (!workloads::scaleByName(next(), scale))
                 usage(1);
         } else if (a == "--tiny") {
             scale = workloads::Scale::Tiny;
@@ -256,8 +248,7 @@ main(int argc, char **argv)
 
     unsigned diags = 0, witnesses = 0;
     for (const auto &n : names) {
-        const LintOutcome o =
-            lintWorkload(n, scale, !static_only, host_jobs, true);
+        const LintOutcome o = lintWorkload(n, scale, !static_only, host_jobs);
         diags += o.staticDiags;
         witnesses += o.oracleWitnesses;
     }

@@ -48,7 +48,8 @@ usage(int code)
         "  --scale S           tiny | small | large (default small)\n"
         "  --tiny|--small|--large   shorthand for --scale S\n"
         "  --htm KIND          p8 | p8s | l1tm | infcap (default p8)\n"
-        "  --threads N         override the workload's thread count\n"
+        "  --threads N         build the workload for N threads "
+        "(same as --workload NAME@N)\n"
         "  --seed N            RNG seed (default 1)\n"
         "  --retries N         transient-abort retries (default 8)\n"
         "  --buffer N          TX buffer entries (default 64; small "
@@ -170,7 +171,7 @@ main(int argc, char **argv)
     std::string workload = "intruder";
     workloads::Scale scale = workloads::Scale::Small;
     core::SystemOptions base;
-    unsigned threads_override = 0;
+    unsigned threads = 0; // 0 = the workload's own thread count
     unsigned host_jobs = 0;
     std::size_t top_n = 10;
     bool html = false;
@@ -186,35 +187,15 @@ main(int argc, char **argv)
         if (a == "--workload") {
             workload = next();
         } else if (a == "--scale") {
-            const std::string s = next();
-            if (s == "tiny")
-                scale = workloads::Scale::Tiny;
-            else if (s == "small")
-                scale = workloads::Scale::Small;
-            else if (s == "large")
-                scale = workloads::Scale::Large;
-            else
+            if (!workloads::scaleByName(next(), scale))
                 usage(1);
-        } else if (a == "--tiny") {
-            scale = workloads::Scale::Tiny;
-        } else if (a == "--small") {
-            scale = workloads::Scale::Small;
-        } else if (a == "--large") {
-            scale = workloads::Scale::Large;
+        } else if (a == "--tiny" || a == "--small" || a == "--large") {
+            workloads::scaleByName(a.substr(2), scale);
         } else if (a == "--htm") {
-            const std::string s = next();
-            if (s == "p8")
-                base.htmKind = htm::HtmKind::P8;
-            else if (s == "p8s")
-                base.htmKind = htm::HtmKind::P8S;
-            else if (s == "l1tm")
-                base.htmKind = htm::HtmKind::L1TM;
-            else if (s == "infcap")
-                base.htmKind = htm::HtmKind::InfCap;
-            else
+            if (!htm::htmKindByName(next(), base.htmKind))
                 usage(1);
         } else if (a == "--threads") {
-            threads_override = parseFlag<unsigned>(a, next());
+            threads = parseFlag<unsigned>(a, next());
         } else if (a == "--seed") {
             base.seed = parseFlag(a, next());
         } else if (a == "--retries") {
@@ -247,12 +228,9 @@ main(int argc, char **argv)
     core::SystemOptions full = base;
     full.mechanism = core::Mechanism::Full;
 
-    const bench::PreparedWorkload p = bench::prepare(workload, scale);
-    const unsigned threads =
-        threads_override ? threads_override : p.wl.threads;
+    const bench::PreparedWorkload p = bench::prepare(workload, scale, threads);
 
-    const std::vector<bench::MatrixJob> jobs = {
-        {&p, baseline, threads_override}, {&p, full, threads_override}};
+    const std::vector<bench::MatrixJob> jobs = {{&p, baseline}, {&p, full}};
     const std::vector<sim::RunResult> results =
         bench::runMatrix(jobs, host_jobs);
     const sim::RunResult &rb = results[0];
@@ -270,7 +248,7 @@ main(int argc, char **argv)
     std::vector<std::string> preamble;
     {
         std::ostringstream os;
-        os << "workload: " << p.wl.name << " (" << threads
+        os << "workload: " << p.wl.name << " (" << p.wl.threads
            << " threads), htm " << htm::htmKindName(base.htmKind)
            << ", seed " << base.seed;
         preamble.push_back(os.str());

@@ -42,7 +42,8 @@ usage(int code)
         "  --htm KIND          p8 | p8s | l1tm | infcap (default p8)\n"
         "  --mech M            baseline | static | dyn | full "
         "(default full)\n"
-        "  --threads N         override the workload's thread count\n"
+        "  --threads N         build the workload for N threads "
+        "(same as --workload NAME@N)\n"
         "  --cores N           physical cores (default 8)\n"
         "  --smt N             hardware contexts per core (default 1)\n"
         "  --seed N            RNG seed (default 1)\n"
@@ -98,7 +99,7 @@ main(int argc, char **argv)
     workloads::Scale scale = workloads::Scale::Small;
     core::SystemOptions opts;
     opts.mechanism = core::Mechanism::Full;
-    unsigned threads_override = 0;
+    unsigned threads = 0; // 0 = the workload's own thread count
     unsigned host_jobs = 0;
     bool profile = false, cdf = false, stats = false;
     std::string perfettoPath, statsJsonPath;
@@ -115,32 +116,12 @@ main(int argc, char **argv)
         if (a == "--workload") {
             workload = next();
         } else if (a == "--scale") {
-            const std::string s = next();
-            if (s == "tiny")
-                scale = workloads::Scale::Tiny;
-            else if (s == "small")
-                scale = workloads::Scale::Small;
-            else if (s == "large")
-                scale = workloads::Scale::Large;
-            else
+            if (!workloads::scaleByName(next(), scale))
                 usage(1);
-        } else if (a == "--tiny") {
-            scale = workloads::Scale::Tiny;
-        } else if (a == "--small") {
-            scale = workloads::Scale::Small;
-        } else if (a == "--large") {
-            scale = workloads::Scale::Large;
+        } else if (a == "--tiny" || a == "--small" || a == "--large") {
+            workloads::scaleByName(a.substr(2), scale);
         } else if (a == "--htm") {
-            const std::string s = next();
-            if (s == "p8")
-                opts.htmKind = htm::HtmKind::P8;
-            else if (s == "p8s")
-                opts.htmKind = htm::HtmKind::P8S;
-            else if (s == "l1tm")
-                opts.htmKind = htm::HtmKind::L1TM;
-            else if (s == "infcap")
-                opts.htmKind = htm::HtmKind::InfCap;
-            else
+            if (!htm::htmKindByName(next(), opts.htmKind))
                 usage(1);
         } else if (a == "--mech") {
             const std::string s = next();
@@ -155,7 +136,7 @@ main(int argc, char **argv)
             else
                 usage(1);
         } else if (a == "--threads") {
-            threads_override = parseFlag<unsigned>(a, next());
+            threads = parseFlag<unsigned>(a, next());
         } else if (a == "--cores") {
             opts.numCores = parseFlag<unsigned>(a, next());
         } else if (a == "--smt") {
@@ -251,20 +232,17 @@ main(int argc, char **argv)
     opts.collectTxSizes = cdf;
     opts.collectRawStats = stats;
 
-    const bench::PreparedWorkload p = bench::prepare(workload, scale);
+    const bench::PreparedWorkload p = bench::prepare(workload, scale, threads);
     const workloads::Workload &wl = p.wl;
-    const unsigned threads =
-        threads_override ? threads_override : wl.threads;
 
     std::printf("workload   : %s (%u threads)\n", wl.name.c_str(),
-                threads);
+                wl.threads);
     std::printf("config     : %s, %u cores x %u SMT, buffer %u\n",
                 opts.label().c_str(), opts.numCores, opts.smtPerCore,
                 opts.bufferEntries);
     std::printf("compiler   : %s\n\n", p.compileReport.summary().c_str());
 
-    const std::vector<bench::MatrixJob> jobs = {
-        {&p, opts, threads_override}};
+    const std::vector<bench::MatrixJob> jobs = {{&p, opts}};
     const sim::RunResult r = bench::runMatrix(jobs, host_jobs)[0];
 
     std::printf("cycles            : %llu\n",
@@ -306,7 +284,7 @@ main(int argc, char **argv)
     std::printf("page-mode cycles  : %llu (%.2f%% of cycle-work)\n",
                 (unsigned long long)r.pageModeOverheadCycles,
                 r.cycles ? 100.0 * double(r.pageModeOverheadCycles) /
-                               (double(r.cycles) * threads)
+                               (double(r.cycles) * wl.threads)
                          : 0);
     if (profile) {
         std::printf(
@@ -334,15 +312,21 @@ main(int argc, char **argv)
             std::printf("  %s\n", w.c_str());
     }
     if (r.journal) {
+        constexpr std::size_t top_sites = 10;
         std::printf("%s", sim::journalSummary(r).c_str());
-        std::printf("\n-- abort attribution (top 5 sites) --\n%s",
-                    sim::renderAttributionTable(*r.journal, 5).c_str());
+        std::printf("\n-- abort attribution (top %zu sites) --\n%s",
+                    top_sites,
+                    sim::renderAttributionTable(*r.journal, top_sites)
+                        .c_str());
+        std::printf("\n-- interval time series --\n%s",
+                    sim::renderIntervalTable(*r.journal, r.cycles)
+                        .c_str());
     }
     if (r.metrics)
         std::printf("%s", sim::metricsSummary(r).c_str());
     if (!perfettoPath.empty() || !statsJsonPath.empty()) {
         const std::vector<sim::JournalRun> runs = {
-            {wl.name, opts.label(), threads, &r}};
+            {wl.name, opts.label(), wl.threads, &r}};
         if (!perfettoPath.empty() &&
             sim::writePerfettoTrace(perfettoPath, runs))
             std::printf("perfetto trace    : %s\n", perfettoPath.c_str());
