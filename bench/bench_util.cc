@@ -510,19 +510,16 @@ runMatrix(const std::vector<MatrixJob> &jobs, unsigned host_jobs)
         st.stats.misses += toSim.size();
     }
 
+    std::vector<double> wallMs(toSim.size());
     parallelFor(workers, toSim.size(), [&](std::size_t k) {
         const std::size_t i = toSim[k];
         const MatrixJob &job = jobs[i];
         const auto t0 = std::chrono::steady_clock::now();
         results[i] = core::simulate(job.opts, job.wl->wl.module,
                                     job.wl->wl.threads);
-        const double wall_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        recordJson(job, results[i], wall_ms);
-        recordObservability(job.wl->wl.name, job.opts, job.wl->wl.threads,
-                            results[i]);
+        wallMs[k] = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
         if (disk && !job.opts.journal && !job.opts.metrics) {
             disk->store(keys[i], results[i]);
             std::lock_guard<std::mutex> lock(st.mu);
@@ -531,6 +528,14 @@ runMatrix(const std::vector<MatrixJob> &jobs, unsigned host_jobs)
         std::lock_guard<std::mutex> lock(st.mu);
         st.cache.emplace(keys[i], results[i]);
     });
+    // Exports list runs in submission order, whatever the job count.
+    for (std::size_t k = 0; k < toSim.size(); ++k) {
+        const MatrixJob &job = jobs[toSim[k]];
+        const sim::RunResult &r = results[toSim[k]];
+        recordJson(job, r, wallMs[k]);
+        recordObservability(job.wl->wl.name, job.opts, job.wl->wl.threads,
+                            r);
+    }
 
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         if (alias[i] != i)

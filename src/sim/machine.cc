@@ -12,6 +12,7 @@
 #include "common/trace.hh"
 #include "htm/hint_oracle.hh"
 #include "mem/directory.hh"
+#include "sim/lock_waiters.hh"
 #include "sim/sched_index.hh"
 #include "sim/schedule.hh"
 #include "sim/snapshot.hh"
@@ -29,6 +30,10 @@ namespace
 
 /** The software fallback lock lives below the globals region. */
 constexpr Addr fallbackLockAddr = 0xF000;
+/** Spin re-check interval while the fallback lock is held. */
+constexpr Cycle fallbackSpinCycles = 64;
+/** Linear backoff per retry after a transient abort. */
+constexpr Cycle backoffCycles = 64;
 
 constexpr Cycle farFuture = std::numeric_limits<Cycle>::max();
 
@@ -130,6 +135,7 @@ class Machine
             cfg.schedIndex && ctxs_.size() <= SchedIndex::maxContexts;
         if (useSchedIndex_) {
             rebuildSchedIndex();
+            waiters_.reset(unsigned(ctxs_.size()));
             // Wake events: a controller signalling an abort into a
             // running TX invalidates any batched scheduling decision
             // (the victim's retry timing is about to change), so the
@@ -205,7 +211,9 @@ class Machine
      * picked context while it provably remains the unique earliest
      * (its readyAt strictly below every other eligible context's lower
      * bound and no cross-context mutation observed), touching the heap
-     * once per batch instead of once per step.
+     * once per batch instead of once per step. It also parks
+     * fallback-lock waiters after their first re-check and replays the
+     * later re-checks on the round-robin cursor (sim/lock_waiters.hh).
      */
     void
     runLoop(std::uint64_t commit_target)
@@ -221,17 +229,30 @@ class Machine
         }
         const unsigned n = unsigned(ctxs_.size());
         while (res_.committedTxs < commit_target && sched_.anyLive()) {
+            if (!waiters_.empty()) {
+                // Waiters due before the next real pick re-check first.
+                const Cycle t = sched_.peekKey();
+                if (t == farFuture)
+                    deadlockPanic();
+                waiters_.recheckBefore(t, rr_);
+            }
             const SchedIndex::Pick p = sched_.pick(rr_);
             if (p.winner < 0)
                 deadlockPanic();
             const unsigned w = unsigned(p.winner);
+            Cycle bound = p.bound;
+            if (!waiters_.empty()) {
+                waiters_.splitAt(p.key, rr_, w);
+                bound = std::min(bound, waiters_.earliest());
+            }
             ContextState &cs = ctxs_[w];
             now_ = std::max(now_, p.key);
             schedDirty_ = false;
+            spun_ = false;
             step(w, now_);
             rr_ = w + 1 == n ? 0 : w + 1;
-            while (!schedDirty_ && !cs.done && !cs.atBarrier &&
-                   cs.readyAt < p.bound &&
+            while (!schedDirty_ && !spun_ && !cs.done && !cs.atBarrier &&
+                   cs.readyAt < bound &&
                    res_.committedTxs < commit_target) {
                 now_ = std::max(now_, cs.readyAt);
                 step(w, now_);
@@ -242,8 +263,17 @@ class Machine
                 sched_.retire(w);
             else if (cs.atBarrier)
                 sched_.block(w, cs.readyAt);
+            else if (spun_)
+                parkWaiter(w);
             else
                 sched_.setReady(w, cs.readyAt);
+        }
+        // Hand back the state spinning would have left: the scan, the
+        // controlled loop and snapshots know nothing of parking.
+        if (!waiters_.empty()) {
+            waiters_.drain(
+                [this](unsigned c, Cycle t) { ctxs_[c].readyAt = t; });
+            rebuildSchedIndex();
         }
     }
 
@@ -409,6 +439,7 @@ class Machine
         HINTM_ASSERT(!cfg_.hintOracle,
                      "snapshot of a hint-oracle machine is unsupported");
         HINTM_ASSERT(!finalized_, "snapshot after finalization");
+        HINTM_ASSERT(waiters_.empty(), "snapshot with parked lock waiters");
         MachineSnapshot s;
         s.program = prog_.saveState();
         s.mem = mem_->saveState();
@@ -573,7 +604,7 @@ class Machine
                 cs.mustFallback = true;
         }
         cs.readyAt = now + cfg_.htm.abortHandlerCycles +
-                     Cycle(cs.retries) * cfg_.backoffCycles;
+                     Cycle(cs.retries) * backoffCycles;
     }
 
     /**
@@ -586,6 +617,7 @@ class Machine
     Cycle
     acquireFallbackLock(unsigned c, Cycle now)
     {
+        HINTM_ASSERT(waiters_.empty(), "lock waiters parked on a free lock");
         lockHolder_ = int(c);
         observers_.lockAcquired(now);
         if (!cfg_.unsafeLazySubscription) {
@@ -609,7 +641,8 @@ class Machine
 
         if (lockHolder_ >= 0) {
             // Someone is in the software fallback: wait for release.
-            cs.readyAt = now + cost + cfg_.fallbackSpinCycles;
+            cs.readyAt = now + cost + fallbackSpinCycles;
+            spun_ = true;
             noteEvent(SchedEvent::LockSpin);
             return;
         }
@@ -652,6 +685,7 @@ class Machine
             HINTM_ASSERT(lockHolder_ == int(c), "lock bookkeeping broken");
             observers_.lockRelease(c, now);
             lockHolder_ = -1;
+            wakeWaiters(now);
             const auto ar =
                 mem_->access(mem::ContextId(c), fallbackLockAddr,
                              AccessType::Write);
@@ -708,13 +742,19 @@ class Machine
                          tr.slaveCosts.size(), " shootdown slaves");
             shootdownCycles_ += cfg_.vm.shootdownInitiatorCycles;
             for (const auto &[victim, slave] : tr.slaveCosts) {
-                ContextState &vs = ctxs_[std::size_t(victim)];
+                const unsigned v = unsigned(victim);
+                ContextState &vs = ctxs_[v];
+                // A parked waiter's exact readyAt is its group's cycle.
+                const bool parked = !waiters_.empty() && waiters_.parked(v);
+                if (parked)
+                    vs.readyAt = waiters_.dueAt(v);
                 vs.readyAt = std::max(vs.readyAt, now) + slave;
                 shootdownCycles_ += slave;
-                if (useSchedIndex_) {
-                    sched_.setReady(unsigned(victim), vs.readyAt);
-                    schedDirty_ = true;
-                }
+                if (parked)
+                    waiters_.repark(v, vs.readyAt);
+                else if (useSchedIndex_)
+                    sched_.setReady(v, vs.readyAt);
+                schedDirty_ = true;
             }
             for (ContextState &other : ctxs_)
                 other.htm->onPageBecameUnsafe(tr.pageNum);
@@ -890,6 +930,35 @@ class Machine
             oracle_->onBarrier();
     }
 
+    /** Park @p c, whose step just re-checked the held fallback lock,
+     * until the lock is released or the run loop returns. */
+    void
+    parkWaiter(unsigned c)
+    {
+        ContextState &cs = ctxs_[c];
+        HINTM_ASSERT(lockHolder_ >= 0 && !cs.htm->inTx() &&
+                         !cs.htm->abortPending(),
+                     "parked a context that is not waiting on the lock");
+        sched_.block(c, cs.readyAt);
+        waiters_.park(c, cs.readyAt);
+    }
+
+    /** The fallback lock was released at @p now: every parked waiter
+     * re-enters the index at the readyAt spinning would have given it,
+     * to see the lock free in the reference rotation order. */
+    void
+    wakeWaiters(Cycle now)
+    {
+        if (waiters_.empty())
+            return;
+        waiters_.drain([this, now](unsigned c, Cycle t) {
+            HINTM_ASSERT(t >= now, "lock waiter woken into the past");
+            ctxs_[c].readyAt = t;
+            sched_.unblock(c, t);
+        });
+        schedDirty_ = true;
+    }
+
     /** Mark a transactional event on the stepping context; the
      * controlled loop turns it into a decision point once the step has
      * fully completed. No-op without a controller. */
@@ -1049,7 +1118,10 @@ class Machine
            << ")";
         for (unsigned c = 0; c < ctxs_.size(); ++c) {
             const ContextState &cs = ctxs_[c];
-            os << "\n  ctx " << c << ": readyAt=" << cs.readyAt
+            const bool parked = !waiters_.empty() && waiters_.parked(c);
+            os << "\n  ctx " << c << ": readyAt="
+               << (parked ? waiters_.dueAt(c) : cs.readyAt)
+               << " parked=" << parked
                << " done=" << cs.done << " atBarrier=" << cs.atBarrier
                << " inTx=" << cs.htm->inTx()
                << " abortPending=" << cs.htm->abortPending()
@@ -1086,11 +1158,18 @@ class Machine
     /** Event-driven ready-context index (cfg.schedIndex, <=64 ctxs). */
     SchedIndex sched_;
     bool useSchedIndex_ = false;
+    /** Fallback-lock waiters parked by the indexed run loop; empty
+     * outside it. */
+    LockWaiters waiters_{fallbackSpinCycles};
     /** Set whenever a step mutates another context's scheduler state
-     * (shootdown readyAt bump, barrier release, controller wake event):
-     * the current batch's uniqueness proof no longer holds, so the
-     * loop returns to the index for the next pick. */
+     * (shootdown readyAt bump, barrier release, lock-waiter wake,
+     * controller wake event): the current batch's uniqueness proof no
+     * longer holds, so the loop returns to the index for the next
+     * pick. */
     bool schedDirty_ = false;
+    /** The last step re-checked a held fallback lock (the run loop
+     * parks the context). */
+    bool spun_ = false;
     bool finalized_ = false;
     /** Scheduler nondeterminism hook (null = reference behavior). */
     ScheduleController *ctrl_ = nullptr;

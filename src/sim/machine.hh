@@ -57,10 +57,6 @@ struct MachineConfig
 
     /** Transient-abort retries before taking the fallback lock. */
     unsigned maxRetries = 8;
-    /** Linear backoff per retry after a transient abort. */
-    Cycle backoffCycles = 64;
-    /** Spin re-check interval while the fallback lock is held. */
-    Cycle fallbackSpinCycles = 64;
     /** Cycles charged per non-memory instruction (x100: 100 = CPI 1). */
     unsigned nonMemCyclesX100 = 100;
 

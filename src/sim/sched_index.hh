@@ -161,7 +161,8 @@ class SchedIndex
         place(c, bit, t);
     }
 
-    /** @p c blocked at a barrier: out of the pick set until unblock(). */
+    /** @p c blocked at a barrier or parked as a fallback-lock waiter
+     * (sim/lock_waiters.hh): out of the pick set until unblock(). */
     void
     block(unsigned c, Cycle t)
     {
@@ -172,7 +173,9 @@ class SchedIndex
         next_ &= ~bit;
     }
 
-    /** @p c released from a barrier: back in the pick set at @p t. */
+    /** @p c released from a barrier or woken from a lock wait: back in
+     * the pick set at @p t, which must not be below the last pick's
+     * key (an open tie bucket never has an earlier context behind it). */
     void
     unblock(unsigned c, Cycle t)
     {
@@ -193,6 +196,23 @@ class SchedIndex
         eligible_ &= ~bit;
         tie_ &= ~bit;
         next_ &= ~bit;
+    }
+
+    /** The key the next pick() returns (the earliest eligible readyAt),
+     * or max when nothing is eligible. Opens the tie bucket exactly as
+     * pick() would, so the pick that follows finds it ready. */
+    Cycle
+    peekKey()
+    {
+        if (dense()) {
+            Cycle best = std::numeric_limits<Cycle>::max();
+            for (std::uint64_t m = eligible_; m; m &= m - 1)
+                best = std::min(best, ready_[unsigned(std::countr_zero(m))]);
+            return best;
+        }
+        if (tie_ == 0)
+            openBucket();
+        return tie_ ? tieKey_ : std::numeric_limits<Cycle>::max();
     }
 
     bool anyLive() const { return live_ != 0; }

@@ -47,9 +47,11 @@ enum class SchedEvent : std::uint8_t
     TxAbort,
     LockAcquire,
     LockRelease,
-    /** Spin re-check against a held fallback lock. Reported for trace
-     * completeness; never worth branching on (the spinner re-arrives at
-     * the same decision until the lock frees). */
+    /** Spin re-check against a held fallback lock. Controlled runs
+     * only: without a controller the machine parks lock waiters instead
+     * of stepping each re-check (sim/lock_waiters.hh). Reported for
+     * trace completeness; never worth branching on (the spinner
+     * re-arrives at the same decision until the lock frees). */
     LockSpin,
     Barrier,
 };

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../bench/result_store.hh"
 #include "core/hintm.hh"
 #include "sim/explorer.hh"
 #include "sim/sched_index.hh"
@@ -136,6 +137,88 @@ TEST_P(DefaultControllerEquivalence, MatchesControllerFreeRun)
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, DefaultControllerEquivalence,
                          ::testing::ValuesIn(workloads::allNames()));
+
+namespace
+{
+
+/** A 64-context run whose fallback-lock waiters the controller-free
+ * indexed loop parks, while the controlled loop steps every re-check. */
+struct ParkCase
+{
+    std::string workload;
+    workloads::Scale scale;
+    htm::HtmKind kind;
+    core::Mechanism mech;
+    std::uint64_t seed;
+};
+
+void
+PrintTo(const ParkCase &c, std::ostream *os)
+{
+    *os << c.workload << ':' << workloads::scaleLabel(c.scale) << ':'
+        << htm::htmKindName(c.kind) << ':' << core::mechanismName(c.mech)
+        << ":seed" << c.seed;
+}
+
+std::vector<ParkCase>
+parkCases()
+{
+    std::vector<ParkCase> cases;
+    // Full adds page-mode shootdowns that stall parked waiters.
+    for (const char *kernel : {"vacation@64", "intruder@64"})
+        for (const htm::HtmKind kind : {htm::HtmKind::P8, htm::HtmKind::L1TM})
+            for (const core::Mechanism mech :
+                 {core::Mechanism::Baseline, core::Mechanism::Full})
+                cases.push_back(
+                    {kernel, workloads::Scale::Tiny, kind, mech, 1});
+    // The long convoy: ~98M re-checks at seed 1 (tiny genome@64 never
+    // waits on the lock).
+    cases.push_back({"genome@64", workloads::Scale::Small, htm::HtmKind::P8,
+                     core::Mechanism::Baseline, 2});
+    return cases;
+}
+
+} // namespace
+
+class DefaultControllerEquivalenceParked
+    : public ::testing::TestWithParam<ParkCase>
+{
+};
+
+/**
+ * The per-spin oracle where parking actually parks: the controlled
+ * loop under the default controller steps every re-check and must
+ * reproduce the parked run's full RunResult encoding. (The reference
+ * scan's side is ReferencePathEquivalence's SchedScan cases.)
+ */
+TEST_P(DefaultControllerEquivalenceParked, MatchesParkedRun)
+{
+    const ParkCase &c = GetParam();
+    workloads::Workload w = workloads::byName(c.workload, c.scale);
+    core::compileHints(w.module);
+
+    core::SystemOptions opts;
+    opts.htmKind = c.kind;
+    opts.mechanism = c.mech;
+    opts.numCores = w.threads;
+    opts.seed = c.seed;
+    opts.collectRawStats = true;
+    sim::MachineConfig cfg = core::makeMachineConfig(opts);
+    const sim::RunResult parked = sim::runMachine(cfg, w.module, w.threads);
+    ASSERT_GT(parked.fallbackRuns, 0u);
+
+    sim::DefaultScheduleController ctrl;
+    cfg.scheduleController = &ctrl;
+    const sim::RunResult controlled =
+        sim::runMachine(cfg, w.module, w.threads);
+    expectSameResult(controlled, parked);
+    EXPECT_EQ(bench::encodeRunResult(controlled),
+              bench::encodeRunResult(parked));
+    EXPECT_EQ(controlled.rawStats, parked.rawStats);
+}
+
+INSTANTIATE_TEST_SUITE_P(LockWaiters, DefaultControllerEquivalenceParked,
+                         ::testing::ValuesIn(parkCases()));
 
 /** The same preemption plan must reproduce the same trace, run after
  * run — the replay contract behind every schedule file. */

@@ -154,6 +154,72 @@ TEST(Snapshot, SchedulerIndexRidesThroughAtThirtyTwoContexts)
                      "32-context scan-restore of indexed snapshot");
 }
 
+TEST(Snapshot, ParkedLockWaitersRideThroughAtSixtyFourContexts)
+{
+    // The indexed loop parks fallback-lock waiters and wakes them at
+    // each release with the exact readyAt spinning would have left.
+    // vacation@64 keeps the lock busy at Tiny scale, so every chunk
+    // parks and wakes waiters; each boundary's snapshot must resume
+    // bit-identical in a fresh indexed machine and under the reference
+    // scan, which steps every re-check.
+    workloads::Workload wl =
+        workloads::byName("vacation@64", workloads::Scale::Tiny);
+    core::compileHints(wl.module);
+    core::SystemOptions opts = observedOpts(htm::HtmKind::P8);
+    opts.mechanism = core::Mechanism::Baseline;
+    opts.numCores = 64;
+    const sim::MachineConfig cfg = core::makeMachineConfig(opts);
+    sim::MachineConfig scan_cfg = cfg;
+    scan_cfg.schedIndex = false;
+
+    const sim::RunResult cold =
+        sim::runMachine(cfg, wl.module, wl.threads);
+    ASSERT_GT(cold.fallbackRuns, 0u);
+
+    sim::SimRun a(cfg, wl.module, wl.threads);
+    for (std::uint64_t target = 8;; target += 8) {
+        a.runUntilCommits(target);
+        if (a.finished())
+            break;
+        const sim::MachineSnapshot snap = a.snapshot();
+        const std::string at = " at " + std::to_string(target);
+        sim::SimRun b(cfg, wl.module, wl.threads);
+        b.restore(snap);
+        expectSameResult(cold, b.finish(), "64-context indexed" + at);
+        sim::SimRun c(scan_cfg, wl.module, wl.threads);
+        c.restore(snap);
+        expectSameResult(cold, c.finish(), "64-context scan" + at);
+    }
+    expectSameResult(cold, a.finish(), "64-context chunked run");
+}
+
+TEST(Snapshot, ChunkExitsHandBackParkedLockWaiters)
+{
+    // With eager lock subscription a chunk never ends with waiters
+    // parked: its last commit either releases the lock (waking them
+    // all) or runs while the lock is free. The seeded lazy-subscription
+    // bug lets hardware TXs commit under a held lock, so one-commit
+    // chunks end mid-convoy; every exit must restore each waiter's
+    // exact readyAt or the chunked run drifts from the cold one.
+    workloads::Workload wl =
+        workloads::byName("vacation@64", workloads::Scale::Tiny);
+    core::compileHints(wl.module);
+    core::SystemOptions opts = observedOpts(htm::HtmKind::P8);
+    opts.mechanism = core::Mechanism::Baseline;
+    opts.numCores = 64;
+    sim::MachineConfig cfg = core::makeMachineConfig(opts);
+    cfg.unsafeLazySubscription = true;
+
+    const sim::RunResult cold =
+        sim::runMachine(cfg, wl.module, wl.threads);
+    ASSERT_GT(cold.subscriptionViolations, 0u);
+
+    sim::SimRun a(cfg, wl.module, wl.threads);
+    for (std::uint64_t target = 1; !a.finished(); ++target)
+        a.runUntilCommits(target);
+    expectSameResult(cold, a.finish(), "one-commit chunks");
+}
+
 TEST(Snapshot, AllBlockedContextsPanicWithDiagnosticsDump)
 {
     // A snapshot doctored so every live context waits at a barrier no
