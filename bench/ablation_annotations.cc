@@ -17,6 +17,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "tir/builder.hh"
 
@@ -54,8 +55,8 @@ annotatedLabyrinth(workloads::Scale s)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
     bench::PreparedWorkload p;
@@ -104,4 +105,10 @@ main(int argc, char **argv)
     std::printf("\nannotations cover only reads; labyrinth's private "
                 "grid *stores* still need the compiler pass.\n");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return hintm::runMain(argc, argv, run);
 }

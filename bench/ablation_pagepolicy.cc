@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 
 using namespace hintm;
@@ -19,8 +20,8 @@ using bench::BenchArgs;
 using core::Mechanism;
 using core::SystemOptions;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     const BenchArgs args = BenchArgs::parse(argc, argv);
 
@@ -69,4 +70,10 @@ main(int argc, char **argv)
     }
     std::cout << "== page-policy ablation (P8 + HinTM) ==\n" << t;
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return hintm::runMain(argc, argv, run);
 }

@@ -14,14 +14,15 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 
 using namespace hintm;
 using core::Mechanism;
 using core::SystemOptions;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
     if (args.only.empty())
@@ -72,4 +73,10 @@ main(int argc, char **argv)
     }
     std::cout << "== conflict-policy ablation (P8) ==\n" << t;
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return hintm::runMain(argc, argv, run);
 }

@@ -12,14 +12,15 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 
 using namespace hintm;
 using core::Mechanism;
 using core::SystemOptions;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
     if (args.only.empty())
@@ -75,4 +76,10 @@ main(int argc, char **argv)
                 "avoids the overflow altogether; together the handler "
                 "mops up the TXs HinTM cannot shrink.\n");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return hintm::runMain(argc, argv, run);
 }

@@ -11,14 +11,15 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 
 using namespace hintm;
 using bench::BenchArgs;
 using core::SystemOptions;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     BenchArgs args = BenchArgs::parse(argc, argv);
     if (args.only.empty())
@@ -62,4 +63,10 @@ main(int argc, char **argv)
                   << t << "\n";
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return hintm::runMain(argc, argv, run);
 }

@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 
 using namespace hintm;
@@ -17,8 +18,8 @@ using bench::BenchArgs;
 using core::Mechanism;
 using core::SystemOptions;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     BenchArgs args = BenchArgs::parse(argc, argv);
     if (!args.scaleExplicit)
@@ -71,4 +72,10 @@ main(int argc, char **argv)
                   << t << "\n";
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return hintm::runMain(argc, argv, run);
 }

@@ -13,6 +13,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 
 using namespace hintm;
@@ -20,8 +21,8 @@ using bench::BenchArgs;
 using core::Mechanism;
 using core::SystemOptions;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     const BenchArgs args = BenchArgs::parse(argc, argv);
 
@@ -86,4 +87,10 @@ main(int argc, char **argv)
                     100 * sum_reads_pg / n);
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return hintm::runMain(argc, argv, run);
 }

@@ -14,6 +14,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 
 using namespace hintm;
@@ -21,8 +22,8 @@ using bench::BenchArgs;
 using core::Mechanism;
 using core::SystemOptions;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     const BenchArgs args = BenchArgs::parse(argc, argv);
 
@@ -115,4 +116,10 @@ main(int argc, char **argv)
                 bench::geomean(sp_st), bench::geomean(sp_dyn),
                 bench::geomean(sp_full), bench::geomean(sp_inf));
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return hintm::runMain(argc, argv, run);
 }

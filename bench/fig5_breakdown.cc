@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 
 using namespace hintm;
@@ -18,8 +19,8 @@ using bench::BenchArgs;
 using core::Mechanism;
 using core::SystemOptions;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     const BenchArgs args = BenchArgs::parse(argc, argv);
 
@@ -77,4 +78,10 @@ main(int argc, char **argv)
                     100 * sum_safe / n);
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return hintm::runMain(argc, argv, run);
 }

@@ -15,6 +15,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 
 using namespace hintm;
@@ -22,8 +23,8 @@ using bench::BenchArgs;
 using core::Mechanism;
 using core::SystemOptions;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     BenchArgs args = BenchArgs::parse(argc, argv);
     if (args.only.empty())
@@ -79,4 +80,10 @@ main(int argc, char **argv)
                     100 * r.txSizeUnsafe.cdfAt(64));
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return hintm::runMain(argc, argv, run);
 }

@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 
 using namespace hintm;
@@ -18,8 +19,8 @@ using bench::BenchArgs;
 using core::Mechanism;
 using core::SystemOptions;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     BenchArgs args = BenchArgs::parse(argc, argv);
     if (!args.scaleExplicit)
@@ -93,4 +94,10 @@ main(int argc, char **argv)
     std::printf("geomean HinTM speedup on P8S: %.2fx (paper: ~1.28x)\n",
                 bench::geomean(sp_full));
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return hintm::runMain(argc, argv, run);
 }

@@ -22,6 +22,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "sim/journal_io.hh"
 
@@ -44,8 +45,8 @@ numaNodesFor(unsigned cores)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     BenchArgs args = BenchArgs::parse(argc, argv);
     // The scaling subset: two conflict-bound kernels (kmeans, tpcc-no),
@@ -145,4 +146,10 @@ main(int argc, char **argv)
         }
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return hintm::runMain(argc, argv, run);
 }

@@ -13,6 +13,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "common/table.hh"
 
 using namespace hintm;
@@ -20,8 +21,8 @@ using bench::BenchArgs;
 using core::Mechanism;
 using core::SystemOptions;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     const BenchArgs args = BenchArgs::parse(argc, argv);
 
@@ -95,4 +96,10 @@ main(int argc, char **argv)
         std::cout << t << "\n";
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return hintm::runMain(argc, argv, run);
 }

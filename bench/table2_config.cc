@@ -8,12 +8,13 @@
 #include <iostream>
 
 #include "bench_util.hh"
+#include "common/cli.hh"
 #include "core/hintm.hh"
 
 using namespace hintm;
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     // No simulations here; parse so the shared flags (--jobs, --json)
     // from driver scripts are accepted.
@@ -40,4 +41,10 @@ main(int argc, char **argv)
               << "HTM controller : skip-tracking path for safe "
                  "accesses; safe-page set per TX for page-mode aborts\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return hintm::runMain(argc, argv, run);
 }

@@ -2,7 +2,9 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <iostream>
 
 #include "common/logging.hh"
 
@@ -33,6 +35,21 @@ parseFlagValue(const std::string &flag, const char *value,
                     max, ", got '", value ? value : "", "'");
     }
     return v;
+}
+
+int
+runMain(int argc, char **argv, int (*body)(int, char **))
+{
+    try {
+        return body(argc, argv);
+    } catch (const FatalError &) {
+        // The "fatal:" line is already out. Skip the exit-time writers
+        // (the --json / --perfetto / --stats-json reports), so a failed
+        // run leaves no partial report over an earlier good one.
+        std::cout.flush();
+        std::fflush(nullptr);
+        std::_Exit(2);
+    }
 }
 
 } // namespace hintm

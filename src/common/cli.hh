@@ -3,7 +3,9 @@
  * Checked parsing of numeric command-line values. Every harness and
  * driver reads its numeric flags through here, so "-1", "abc", "12x" or
  * an empty value fails with a message naming the flag instead of
- * wrapping around or silently reading as 0.
+ * wrapping around or silently reading as 0. Every harness and driver
+ * also runs its main body through runMain(), so such a failure ends
+ * the process with one line and exit code 2.
  */
 
 #ifndef HINTM_COMMON_CLI_HH
@@ -38,6 +40,17 @@ parseFlag(const std::string &flag, const char *value)
 {
     return T(parseFlagValue(flag, value, std::numeric_limits<T>::max()));
 }
+
+/**
+ * Run a binary's main body and return its exit code. A fatal error
+ * (HINTM_FATAL: a bad flag, bad input or a failed run) has already
+ * printed its one "fatal:" line, so it ends the process with exit code
+ * 2 instead of escaping main into std::terminate. It ends it through
+ * std::_Exit after flushing stdout and stderr: the atexit report
+ * writers do not run, so no --json, --perfetto or --stats-json file
+ * is written.
+ */
+int runMain(int argc, char **argv, int (*body)(int, char **));
 
 } // namespace hintm
 

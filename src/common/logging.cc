@@ -23,7 +23,7 @@ fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
     std::fflush(stderr);
-    throw std::runtime_error("fatal: " + msg);
+    throw FatalError("fatal: " + msg);
 }
 
 void

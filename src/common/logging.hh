@@ -9,10 +9,18 @@
 #define HINTM_COMMON_LOGGING_HH
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 namespace hintm
 {
+
+/** What HINTM_FATAL throws once it has printed its "fatal:" line. */
+class FatalError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 namespace detail
 {

@@ -6,6 +6,7 @@
 #include "common/logging.hh"
 #include "htm/hint_oracle.hh"
 #include "mem/directory.hh"
+#include "mem/mem_system.hh"
 
 namespace hintm
 {
@@ -108,6 +109,15 @@ HtmController::publishInterest()
 }
 
 void
+HtmController::attachL1(mem::MemorySystem *mem)
+{
+    if (cfg_.kind != HtmKind::L1TM)
+        return;
+    l1_ = mem;
+    mem->pinTrackedLines(self_);
+}
+
+void
 HtmController::beginTx(Cycle now)
 {
     HINTM_ASSERT(!inTx_, "nested TX begin on context ", self_);
@@ -132,9 +142,14 @@ HtmController::trackAccess(Addr addr, AccessType type, bool safe)
     }
     const Addr block = blockAlign(addr);
 
+    const std::size_t entries = buffer_.size();
     if (const std::uint8_t tr = buffer_.track(block, type)) {
         if (dir_)
             dir_->txTrack(block, unsigned(self_));
+        // A newly tracked block may not be resident yet (handleMem
+        // tracks before its access): then the fill seeds its bit.
+        if (l1_ && buffer_.size() != entries)
+            l1_->setLineTracked(self_, block, true);
         return tr & (NewlyRead | NewlyWritten);
     }
 
@@ -285,6 +300,16 @@ HtmController::onEviction(Addr block_addr, bool dirty)
         triggerAbort(AbortReason::Capacity, block_addr, true, -1);
 }
 
+bool
+HtmController::tracksBlock(Addr block_addr) const
+{
+    // readsBlock() || writesBlock() with one buffer probe: every entry
+    // has a direction bit set. True through a pending abort, until the
+    // context acknowledges it: the buffer still holds the block.
+    return inTx_ && (buffer_.find(block_addr) ||
+                     overflowReads_.contains(block_addr));
+}
+
 std::size_t
 HtmController::trackedBlocks() const
 {
@@ -360,9 +385,15 @@ HtmController::triggerAbort(AbortReason r, Addr offending_addr,
 void
 HtmController::clearTxState()
 {
+    if (dir_ || l1_) {
+        for (const auto &kv : buffer_.entries()) {
+            if (dir_)
+                dir_->txUntrack(kv.first, unsigned(self_));
+            if (l1_)
+                l1_->setLineTracked(self_, kv.first, false);
+        }
+    }
     if (dir_) {
-        for (const auto &kv : buffer_.entries())
-            dir_->txUntrack(kv.first, unsigned(self_));
         overflowReads_.forEach(
             [&](Addr b) { dir_->txUntrack(b, unsigned(self_)); });
         dir_->setSigActive(unsigned(self_), false);

@@ -26,6 +26,7 @@ namespace hintm
 namespace mem
 {
 class Directory;
+class MemorySystem;
 }
 
 namespace htm
@@ -140,6 +141,15 @@ class HtmController : public mem::SnoopListener
     void attachDirectory(mem::Directory *dir) { dir_ = dir; }
 
     /**
+     * L1TM: keep this context's tracking bits in the lines of its L1
+     * in @p mem, as the paper's L1TM does, so tracked lines are sticky.
+     * The controller sets a line's bit when it newly tracks a resident
+     * block, clears its bits when the TX ends, and answers
+     * tracksBlock() when the L1 fills a line. A no-op for other kinds.
+     */
+    void attachL1(mem::MemorySystem *mem);
+
+    /**
      * Hook publishing whether this controller currently needs coherence
      * events (it does exactly while in an un-aborted TX — see the early
      * returns in onRemoteAccess/onEviction). The memory system uses it to
@@ -219,6 +229,7 @@ class HtmController : public mem::SnoopListener
     void onRemoteAccess(Addr block_addr, AccessType type,
                         mem::ContextId requester) override;
     void onEviction(Addr block_addr, bool dirty) override;
+    bool tracksBlock(Addr block_addr) const override;
 
     bool inTx() const { return inTx_; }
     bool abortPending() const { return abortPending_; }
@@ -312,6 +323,8 @@ class HtmController : public mem::SnoopListener
     std::function<void()> wakeHook_;
     HintOracle *oracle_ = nullptr;
     mem::Directory *dir_ = nullptr;
+    /** L1TM: the memory system whose L1 lines carry this TX's bits. */
+    mem::MemorySystem *l1_ = nullptr;
 
     bool inTx_ = false;
     bool abortPending_ = false;

@@ -24,29 +24,6 @@ CacheArray::CacheArray(const CacheGeometry &geom)
 {
 }
 
-CacheLine *
-CacheArray::findLine(Addr block_addr)
-{
-    const std::uint64_t tag = geom_.tagOf(block_addr);
-    CacheLine *const set =
-        &lines_[geom_.indexOf(block_addr) * geom_.assoc()];
-    for (CacheLine *line = set, *end = set + geom_.assoc(); line != end;
-         ++line) {
-        if (line->valid() && line->tag == tag)
-            return line;
-    }
-    return nullptr;
-}
-
-CacheLine *
-CacheArray::lookup(Addr block_addr)
-{
-    CacheLine *line = findLine(block_addr);
-    if (line)
-        line->lruStamp = ++clock_;
-    return line;
-}
-
 const CacheLine *
 CacheArray::probe(Addr block_addr) const
 {
@@ -54,8 +31,7 @@ CacheArray::probe(Addr block_addr) const
 }
 
 Eviction
-CacheArray::insert(Addr block_addr, CoherState state,
-                   const PinPredicate *pinned)
+CacheArray::insert(Addr block_addr, CoherState state, TxMask tx_mask)
 {
     HINTM_ASSERT(state != CoherState::Invalid, "inserting invalid line");
     Eviction ev;
@@ -79,8 +55,7 @@ CacheArray::insert(Addr block_addr, CoherState state,
                 victim = &line;
             continue;
         }
-        if (pinned &&
-            (*pinned)(geom_.blockAddrOf(line.tag, set))) {
+        if (line.txMask != 0) {
             if (!pinned_lru || line.lruStamp < pinned_lru->lruStamp)
                 pinned_lru = &line;
             continue;
@@ -100,6 +75,7 @@ CacheArray::insert(Addr block_addr, CoherState state,
     }
     victim->tag = tag;
     victim->state = state;
+    victim->txMask = tx_mask;
     victim->lruStamp = ++clock_;
     return ev;
 }

@@ -9,7 +9,6 @@
 #define HINTM_MEM_CACHE_ARRAY_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/types.hh"
@@ -21,16 +20,31 @@ namespace hintm
 namespace mem
 {
 
+/** Per-line transactional tracking bits: one bit per context on the
+ * line's L1, indexed by the context's slot on that L1. */
+using TxMask = std::uint32_t;
+
+/** Contexts one L1 can hold when its lines carry their TX bits. */
+constexpr unsigned txMaskBits = 32;
+
 /** One cache line's bookkeeping. */
 struct CacheLine
 {
     std::uint64_t tag = 0;
     CoherState state = CoherState::Invalid;
+    /** L1TM tracking bits: bit s is set while the TX of the context in
+     * slot s of this L1 tracks the line's block. A line with any bit
+     * set is pinned (see CacheArray::insert). Zero in the L2 and under
+     * every other HTM kind. Sits in the padding after state. */
+    TxMask txMask = 0;
     /** LRU timestamp; larger means more recently used. */
     std::uint64_t lruStamp = 0;
 
     bool valid() const { return state != CoherState::Invalid; }
 };
+
+// 131K lines back the 8 MB L2 alone: the TX bits must not grow a line.
+static_assert(sizeof(CacheLine) == 24, "CacheLine grew past 24 bytes");
 
 /** Description of a line displaced by an insertion. */
 struct Eviction
@@ -53,23 +67,29 @@ class CacheArray
      * Find a block. @return pointer into the array (stable until the next
      * insert in the same set) or nullptr on miss. Updates LRU on hit.
      */
-    CacheLine *lookup(Addr block_addr);
+    CacheLine *
+    lookup(Addr block_addr)
+    {
+        CacheLine *line = findLine(block_addr);
+        if (line)
+            line->lruStamp = ++clock_;
+        return line;
+    }
 
     /** Find a block without touching LRU state. */
     const CacheLine *probe(Addr block_addr) const;
-
-    /** Predicate marking blocks whose eviction would abort a TX. */
-    using PinPredicate = std::function<bool(Addr)>;
+    CacheLine *probe(Addr block_addr) { return findLine(block_addr); }
 
     /**
      * Insert a block in the given state, evicting a victim if the set is
-     * full. Victim choice is LRU among non-pinned lines when @p pinned
-     * is provided (transactional lines are sticky, as in L1-tracking
-     * HTMs); only when every valid way is pinned does a pinned line get
-     * displaced. @return the eviction descriptor (may be empty).
+     * full. Victim choice is LRU among lines whose txMask is zero:
+     * transactional lines are sticky, as in L1-tracking HTMs. Only when
+     * every valid way is pinned does a pinned line get displaced (LRU
+     * among them). A newly filled line takes @p tx_mask as its TX bits;
+     * a re-insert over a resident copy keeps its own.
+     * @return the eviction descriptor (may be empty).
      */
-    Eviction insert(Addr block_addr, CoherState state,
-                    const PinPredicate *pinned = nullptr);
+    Eviction insert(Addr block_addr, CoherState state, TxMask tx_mask = 0);
 
     /** Drop a block (snoop invalidation); no-op when absent. */
     void invalidate(Addr block_addr);
@@ -108,7 +128,19 @@ class CacheArray
     std::uint64_t countValid() const;
 
   private:
-    CacheLine *findLine(Addr block_addr);
+    CacheLine *
+    findLine(Addr block_addr)
+    {
+        const std::uint64_t tag = geom_.tagOf(block_addr);
+        CacheLine *const set =
+            &lines_[geom_.indexOf(block_addr) * geom_.assoc()];
+        for (CacheLine *line = set, *end = set + geom_.assoc(); line != end;
+             ++line) {
+            if (line->valid() && line->tag == tag)
+                return line;
+        }
+        return nullptr;
+    }
 
     CacheGeometry geom_;
     std::vector<CacheLine> lines_;

@@ -25,7 +25,7 @@ MemorySystem::MemorySystem(const MemConfig &cfg, unsigned num_l1s)
     const CacheGeometry l1_geom(cfg.l1SizeBytes, cfg.l1Assoc);
     for (unsigned i = 0; i < num_l1s; ++i)
         l1s_.push_back(std::make_unique<CacheArray>(l1_geom));
-    pinCheckers_.resize(num_l1s);
+    pinners_.resize(num_l1s);
     l2_ = std::make_unique<CacheArray>(
         CacheGeometry(cfg.l2SizeBytes, cfg.l2Assoc));
 
@@ -58,7 +58,10 @@ ContextId
 MemorySystem::addContext(unsigned l1_id)
 {
     HINTM_ASSERT(l1_id < l1s_.size(), "bad L1 id ", l1_id);
-    contexts_.push_back(Context{l1_id, nullptr});
+    unsigned slot = 0;
+    for (const Context &c : contexts_)
+        slot += c.l1 == l1_id;
+    contexts_.push_back(Context{l1_id, slot, nullptr});
     const ContextId id = ContextId(contexts_.size() - 1);
     if (unsigned(id) >= maskBits)
         dirOn_ = false; // too many contexts for the masks
@@ -135,10 +138,26 @@ MemorySystem::sampleBusMetrics(unsigned requester_l1, Addr block)
 }
 
 void
-MemorySystem::setPinChecker(unsigned l1_id, CacheArray::PinPredicate pred)
+MemorySystem::pinTrackedLines(ContextId ctx)
 {
-    HINTM_ASSERT(l1_id < l1s_.size(), "bad L1 id ", l1_id);
-    pinCheckers_[l1_id] = std::move(pred);
+    const Context &c = contexts_.at(ctx);
+    HINTM_ASSERT(c.listener, "context ", ctx, " pins without a listener");
+    if (c.slot >= txMaskBits) {
+        HINTM_FATAL("L1 ", c.l1, " holds more than ", txMaskBits,
+                    " contexts; tracking in the L1 supports at most ",
+                    txMaskBits, " per L1");
+    }
+    pinners_[c.l1].push_back(ctx);
+}
+
+void
+MemorySystem::setLineTracked(ContextId ctx, Addr addr, bool tracked)
+{
+    const Context &c = contexts_[ctx];
+    if (CacheLine *line = l1s_[c.l1]->probe(blockAlign(addr))) {
+        const TxMask bit = TxMask(1) << c.slot;
+        line->txMask = tracked ? line->txMask | bit : line->txMask & ~bit;
+    }
 }
 
 const CacheLine *
@@ -384,9 +403,7 @@ MemorySystem::access(ContextId ctx, Addr addr, AccessType type)
     else
         fill = peer_had_copy ? CoherState::Shared : CoherState::Exclusive;
 
-    const Eviction ev =
-        l1.insert(block, fill,
-                  pinCheckers_[l1_id] ? &pinCheckers_[l1_id] : nullptr);
+    const Eviction ev = l1.insert(block, fill, trackedSeed(l1_id, block));
     if (dirOn_)
         dir_.recordFill(block, l1_id, fill != CoherState::Shared);
     if (ev.happened) {

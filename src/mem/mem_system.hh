@@ -139,11 +139,21 @@ class MemorySystem
     void setListenerTxFiltered(ContextId ctx, bool filtered);
 
     /**
-     * Install a pin predicate on one L1: blocks for which it returns
-     * true are evicted only as a last resort (L1TM keeps transactional
-     * state in the cache, so tracked lines are sticky).
+     * L1TM: keep @p ctx's transactional tracking bits in the lines of
+     * its L1 (CacheLine::txMask, bit = the context's slot on that L1).
+     * From now on every fill of that L1 asks the context's listener
+     * whether its TX tracks the block (SnoopListener::tracksBlock) and
+     * seeds the new line's bit from the answer; the controller sets and
+     * clears the bit of a resident line through setLineTracked(). Lines
+     * with any bit set are evicted only when their whole set is pinned.
+     * Fatal when the L1 holds more contexts than a mask has bits.
      */
-    void setPinChecker(unsigned l1_id, CacheArray::PinPredicate pred);
+    void pinTrackedLines(ContextId ctx);
+
+    /** Set or clear @p ctx's TX bit on the line holding @p addr's block
+     * in its L1; a no-op when the block is not resident. LRU state is
+     * untouched. */
+    void setLineTracked(ContextId ctx, Addr addr, bool tracked);
 
     /**
      * Install an observer invoked at the entry of every access(), before
@@ -242,8 +252,23 @@ class MemorySystem
     struct Context
     {
         unsigned l1;
+        /** Position among the contexts sharing the L1 (its TX bit). */
+        unsigned slot;
         SnoopListener *listener = nullptr;
     };
+
+    /** TX bits for a line of @p block filled into L1 @p l1: one
+     * tracksBlock() query per pinning context on that L1. */
+    TxMask
+    trackedSeed(unsigned l1, Addr block) const
+    {
+        TxMask seed = 0;
+        for (const ContextId c : pinners_[l1]) {
+            if (contexts_[c].listener->tracksBlock(block))
+                seed |= TxMask(1) << contexts_[c].slot;
+        }
+        return seed;
+    }
 
     /** Snoop peer L1s for a bus transaction; returns true if any peer had
      * a valid copy (decides Exclusive vs Shared fill). */
@@ -285,7 +310,8 @@ class MemorySystem
 
     MemConfig cfg_;
     std::vector<std::unique_ptr<CacheArray>> l1s_;
-    std::vector<CacheArray::PinPredicate> pinCheckers_;
+    /** Per L1: the contexts whose TX bits its lines carry (L1TM). */
+    std::vector<std::vector<ContextId>> pinners_;
     std::unique_ptr<CacheArray> l2_;
     std::vector<Context> contexts_;
     stats::StatGroup stats_{"mem"};

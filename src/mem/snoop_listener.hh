@@ -46,6 +46,19 @@ class SnoopListener
      * @param dirty true when the victim required a writeback
      */
     virtual void onEviction(Addr block_addr, bool dirty) = 0;
+
+    /**
+     * True while this context's TX tracks (reads or writes)
+     * @p block_addr. The memory system asks once per fill of this
+     * context's L1, and only after the context asked it to pin its
+     * tracked lines (MemorySystem::pinTrackedLines): the answer seeds
+     * the new line's TX bit.
+     */
+    virtual bool tracksBlock(Addr block_addr) const
+    {
+        (void)block_addr;
+        return false;
+    }
 };
 
 } // namespace mem

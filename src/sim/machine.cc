@@ -112,6 +112,9 @@ class Machine
             cs.htm->setUndoHook([ip] { ip->undoStores(); });
             cs.htm->setHintOracle(oracle_.get());
             mem_->setListener(mem::ContextId(t), cs.htm.get());
+            // L1TM keeps the TX's tracking bits in its L1's lines, so
+            // tracked lines are sticky (other kinds ignore this).
+            cs.htm->attachL1(mem_.get());
             // Interest gating: the memory system only delivers coherence
             // events to this context while its controller is in a live TX.
             cs.htm->setInterestHook(
@@ -142,26 +145,6 @@ class Machine
             // machine stops polling and lets the controllers publish.
             for (ContextState &cs : ctxs_)
                 cs.htm->setWakeHook([this] { schedDirty_ = true; });
-        }
-        if (cfg.htm.kind == htm::HtmKind::L1TM) {
-            // Transactional lines are sticky in L1TM: the replacement
-            // policy evicts them only when a set holds nothing else.
-            // Each L1's checker scans just its own SMT siblings.
-            std::vector<std::vector<unsigned>> by_l1(cfg.numCores);
-            for (unsigned t = 0; t < num_threads; ++t)
-                by_l1[t % cfg.numCores].push_back(t);
-            for (unsigned l1 = 0; l1 < cfg.numCores; ++l1) {
-                mem_->setPinChecker(
-                    l1, [this, siblings = std::move(by_l1[l1])](Addr block) {
-                        for (unsigned t : siblings) {
-                            const htm::HtmController &h = *ctxs_[t].htm;
-                            if (h.inTx() && (h.readsBlock(block) ||
-                                             h.writesBlock(block)))
-                                return true;
-                        }
-                        return false;
-                    });
-            }
         }
     }
 
@@ -1078,9 +1061,7 @@ class Machine
                 if (o == c)
                     continue;
                 const ContextState &po = ctxs_[o];
-                if ((po.htm->inTx() &&
-                     (po.htm->readsBlock(blk) ||
-                      po.htm->writesBlock(blk))) ||
+                if (po.htm->tracksBlock(blk) ||
                     po.ctlFpCur.contains(blk) ||
                     po.ctlFpLast.contains(blk))
                     dep = true;

@@ -96,7 +96,7 @@ TxObservers::abort(unsigned c, Cycle now, const htm::HtmController &h,
                     mem::ContextId(c), h.lastAbortAddr(),
                     [&](Addr blk, const mem::CacheLine &) {
                         m.recordOverflowLine(
-                            h.readsBlock(blk) || h.writesBlock(blk),
+                            h.tracksBlock(blk),
                             x.mtx.skips.contains(blk));
                     });
             }
@@ -236,15 +236,13 @@ TxObservers::hintSaved(const Ctx &x, const htm::HtmController &h) const
         return false;
     // Tracked membership is queried from the controller's own
     // read/write sets — the metrics layer keeps no shadow copy of the
-    // footprint. Called before commitTx, so the sets are live.
-    const auto in_tracked = [&](Addr b) {
-        return h.readsBlock(b) || h.writesBlock(b);
-    };
+    // footprint. Called before commitTx, so the TX is live and
+    // tracksBlock() reads its sets.
     if (htmKind_ != htm::HtmKind::L1TM) {
         const std::uint64_t cap = bufferEntries_;
         std::uint64_t extra = 0;
         m.skips.forEach([&](Addr b) {
-            if (!in_tracked(b))
+            if (!h.tracksBlock(b))
                 ++extra;
         });
         const std::uint64_t used = h.trackedBlocks();
@@ -255,7 +253,7 @@ TxObservers::hintSaved(const Ctx &x, const htm::HtmController &h) const
     std::map<std::uint64_t, std::pair<unsigned, unsigned>> sets;
     h.forEachTrackedBlock([&](Addr b) { ++sets[g.indexOf(b)].first; });
     m.skips.forEach([&](Addr b) {
-        if (!in_tracked(b))
+        if (!h.tracksBlock(b))
             ++sets[g.indexOf(b)].second;
     });
     bool tracked_fits = true, combined_overflows = false;

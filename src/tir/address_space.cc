@@ -12,7 +12,7 @@ namespace tir
 AddressSpace::Page *
 AddressSpace::findPage(Addr page) const
 {
-    CacheSlot &slot = pageCache_[page & (cacheSlots - 1)];
+    CacheSlot &slot = memoSlot(page);
     if (slot.page == page)
         return slot.ptr;
     auto it = pages_.find(page);
@@ -31,7 +31,7 @@ AddressSpace::getPage(Addr page)
     Page *p = pages_.emplace(page, std::make_unique<Page>())
                   .first->second.get();
     p->fill(0);
-    CacheSlot &slot = pageCache_[page & (cacheSlots - 1)];
+    CacheSlot &slot = memoSlot(page);
     slot.page = page;
     slot.ptr = p;
     return p;

@@ -69,17 +69,27 @@ class AddressSpace
     /** As findPage, but materializes the page. */
     Page *getPage(Addr page);
 
-    static constexpr std::size_t cacheSlots = 64;
+    static constexpr unsigned cacheSlotBits = 8;
     struct CacheSlot
     {
         Addr page = ~Addr(0);
         Page *ptr = nullptr;
     };
 
+    /** Memo slot of @p page: a Fibonacci hash of the page number. Thread
+     * stacks lie 512 pages apart and arenas 16,384, so the low bits of
+     * the page number alone send every thread's page k to one slot. */
+    CacheSlot &
+    memoSlot(Addr page) const
+    {
+        return pageCache_[(page * 0x9E3779B97F4A7C15ull) >>
+                          (64 - cacheSlotBits)];
+    }
+
     std::unordered_map<Addr, std::unique_ptr<Page>> pages_;
     /** Page-pointer memo. Pages are never erased, so entries can only go
      * stale by slot reuse, never by dangling. */
-    mutable std::array<CacheSlot, cacheSlots> pageCache_;
+    mutable std::array<CacheSlot, 1u << cacheSlotBits> pageCache_;
 };
 
 /**

@@ -1,11 +1,19 @@
 #include "tlb.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace hintm
 {
 namespace vm
 {
+
+Tlb::Tlb(unsigned num_entries)
+    : slots_(num_entries), stamps_(num_entries, 0)
+{
+    HINTM_ASSERT(num_entries > 0, "TLB needs at least one entry");
+}
 
 bool
 Tlb::lookup(Addr page_num, PageState *state_out)
@@ -21,34 +29,46 @@ Tlb::lookup(Addr page_num, PageState *state_out)
 Tlb::Entry *
 Tlb::lookupEntry(Addr page_num)
 {
-    auto it = entries_.find(page_num);
-    if (it == entries_.end())
+    auto it = index_.find(page_num);
+    if (it == index_.end())
         return nullptr;
-    it->second.lruStamp = ++clock_;
-    return &it->second;
+    stamps_[it->second] = ++clock_;
+    return &slots_[it->second];
 }
 
 Tlb::Entry *
 Tlb::insert(Addr page_num, PageState state)
 {
-    auto it = entries_.find(page_num);
-    if (it != entries_.end()) {
-        it->second.state = state;
-        it->second.lruStamp = ++clock_;
+    auto it = index_.find(page_num);
+    if (it != index_.end()) {
+        slots_[it->second].state = state;
+        stamps_[it->second] = ++clock_;
         notifyEvict(page_num); // cached derivations are stale
-        return &it->second;
+        return &slots_[it->second];
     }
-    if (entries_.size() >= capacity_)
-        evictLru();
-    return &entries_.emplace(page_num, Entry{state, ++clock_})
-                .first->second;
+    // The first minimum: a free slot (stamp 0) while the TLB has room,
+    // else the least recently used entry.
+    const unsigned slot = unsigned(
+        std::min_element(stamps_.begin(), stamps_.end()) - stamps_.begin());
+    if (stamps_[slot] != 0) {
+        const Addr victim = slots_[slot].page;
+        index_.erase(victim);
+        notifyEvict(victim);
+    }
+    slots_[slot] = Entry{page_num, state};
+    stamps_[slot] = ++clock_;
+    index_.emplace(page_num, slot);
+    return &slots_[slot];
 }
 
 bool
 Tlb::invalidate(Addr page_num)
 {
-    if (entries_.erase(page_num) == 0)
+    auto it = index_.find(page_num);
+    if (it == index_.end())
         return false;
+    stamps_[it->second] = 0;
+    index_.erase(it);
     notifyEvict(page_num);
     return true;
 }
@@ -56,25 +76,27 @@ Tlb::invalidate(Addr page_num)
 void
 Tlb::updateState(Addr page_num, PageState state)
 {
-    auto it = entries_.find(page_num);
-    if (it != entries_.end()) {
-        it->second.state = state;
+    auto it = index_.find(page_num);
+    if (it != index_.end()) {
+        slots_[it->second].state = state;
         notifyEvict(page_num);
     }
 }
 
 void
-Tlb::evictLru()
+Tlb::loadState(const State &s)
 {
-    HINTM_ASSERT(!entries_.empty(), "evicting from empty TLB");
-    auto victim = entries_.begin();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->second.lruStamp < victim->second.lruStamp)
-            victim = it;
+    HINTM_ASSERT(s.slots.size() == slots_.size() &&
+                     s.stamps.size() == stamps_.size(),
+                 "TLB state size mismatch");
+    clock_ = s.clock;
+    slots_ = s.slots;
+    stamps_ = s.stamps;
+    index_.clear();
+    for (unsigned i = 0; i < stamps_.size(); ++i) {
+        if (stamps_[i] != 0)
+            index_.emplace(slots_[i].page, i);
     }
-    const Addr page = victim->first;
-    entries_.erase(victim);
-    notifyEvict(page);
 }
 
 } // namespace vm

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
+#include <vector>
 
 #include "common/types.hh"
 #include "vm/page_table.hh"
@@ -19,20 +20,26 @@ namespace hintm
 namespace vm
 {
 
-/** Small fully-associative TLB. Keys are page numbers. */
+/**
+ * Small fully-associative TLB. Keys are page numbers. Entries live in a
+ * fixed array of slots with their LRU stamps stored alongside in a
+ * second array; a free slot reads as stamp 0, so one argmin over the
+ * stamps finds either a free slot or the LRU victim. Live stamps are
+ * unique, so the victim is exactly the least recently used entry.
+ */
 class Tlb
 {
   public:
-    /** One cached translation. Node-stable: pointers handed out by
+    /** One cached translation. Slot-stable: pointers handed out by
      * lookupEntry()/insert() stay valid until the entry itself is
      * evicted or invalidated (announced via the evict observer). */
     struct Entry
     {
+        Addr page;
         PageState state;
-        std::uint64_t lruStamp;
     };
 
-    explicit Tlb(unsigned num_entries = 64) : capacity_(num_entries) {}
+    explicit Tlb(unsigned num_entries = 64);
 
     /** @return true on hit; hit refreshes LRU and exposes the state. */
     bool lookup(Addr page_num, PageState *state_out = nullptr);
@@ -42,10 +49,10 @@ class Tlb
 
     /** Refresh an entry's LRU stamp without re-finding it — lets a
      * higher-level memo keep this TLB's replacement behavior exact. */
-    void touch(Entry *e) { e->lruStamp = ++clock_; }
+    void touch(Entry *e) { stamps_[e - slots_.data()] = ++clock_; }
 
     /** Install (or refresh) a translation with its safety state.
-     * @return the (stable) entry node. */
+     * @return the (stable) entry. */
     Entry *insert(Addr page_num, PageState state);
 
     /** Drop one translation (shootdown); @return true if it was present. */
@@ -67,32 +74,27 @@ class Tlb
     /** Presence probe without LRU effects. */
     bool contains(Addr page_num) const
     {
-        return entries_.count(page_num) != 0;
+        return index_.count(page_num) != 0;
     }
 
-    std::size_t size() const { return entries_.size(); }
-    unsigned capacity() const { return capacity_; }
+    std::size_t size() const { return index_.size(); }
+    unsigned capacity() const { return unsigned(slots_.size()); }
 
-    /** Exact TLB contents including LRU stamps and the clock. */
+    /** Exact TLB contents: the slots, their LRU stamps and the clock. */
     struct State
     {
         std::uint64_t clock = 0;
-        std::unordered_map<Addr, Entry> entries;
+        std::vector<Entry> slots;
+        std::vector<std::uint64_t> stamps;
     };
 
-    State saveState() const { return {clock_, entries_}; }
+    State saveState() const { return {clock_, slots_, stamps_}; }
 
     /** Restore contents. Keeps the evict observer; invalidates any Entry
      * pointers previously handed out (callers re-derive their memos). */
-    void loadState(const State &s)
-    {
-        clock_ = s.clock;
-        entries_ = s.entries;
-    }
+    void loadState(const State &s);
 
   private:
-    void evictLru();
-
     void
     notifyEvict(Addr page_num)
     {
@@ -100,9 +102,12 @@ class Tlb
             evictObserver_(page_num);
     }
 
-    unsigned capacity_;
     std::uint64_t clock_ = 0;
-    std::unordered_map<Addr, Entry> entries_;
+    std::vector<Entry> slots_;
+    /** LRU stamp per slot; larger is more recent, 0 = free slot. */
+    std::vector<std::uint64_t> stamps_;
+    /** Page number -> slot of every present translation. */
+    std::unordered_map<Addr, unsigned> index_;
     std::function<void(Addr)> evictObserver_;
 };
 

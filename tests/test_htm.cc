@@ -10,11 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "htm/controller.hh"
 #include "htm/signature.hh"
 #include "htm/tx_buffer.hh"
+#include "mem/mem_system.hh"
 
 using namespace hintm;
 using namespace hintm::htm;
@@ -42,6 +45,50 @@ struct ControllerFixture
         cfg.signatureBits = 256;
         ctl = std::make_unique<HtmController>(cfg, 0, &stats);
         ctl->setUndoHook([this] { ++undoCalls; });
+    }
+};
+
+/**
+ * Two L1TM controllers sharing one L1 of one set (2-way SMT): every
+ * block lands in the same set, so each fill chooses among all lines.
+ */
+struct SharedL1
+{
+    HtmStats stats;
+    std::unique_ptr<mem::MemorySystem> ms;
+    std::unique_ptr<HtmController> h[2];
+
+    explicit SharedL1(unsigned ways)
+    {
+        mem::MemConfig mc;
+        mc.l1SizeBytes = ways * blockBytes;
+        mc.l1Assoc = ways;
+        mc.l2SizeBytes = 16 * 1024;
+        ms = std::make_unique<mem::MemorySystem>(mc, 1);
+        HtmConfig cfg;
+        cfg.kind = HtmKind::L1TM;
+        for (mem::ContextId c : {0, 1}) {
+            EXPECT_EQ(ms->addContext(0), c);
+            h[c] = std::make_unique<HtmController>(cfg, c, &stats);
+            ms->setListener(c, h[c].get());
+            h[c]->attachL1(ms.get());
+        }
+    }
+
+    /** Track (unless @p tracked is false), then perform the access. */
+    void
+    access(mem::ContextId c, Addr a, AccessType t, bool tracked = true)
+    {
+        if (tracked)
+            h[c]->trackAccess(a, t, false);
+        ms->access(c, a, t);
+    }
+
+    mem::TxMask
+    bits(Addr a) const
+    {
+        const mem::CacheLine *line = ms->probeL1(0, a);
+        return line ? line->txMask : mem::TxMask(0);
     }
 };
 
@@ -277,6 +324,109 @@ TEST(Controller, L1TMEvictionOfUntrackedLineIsHarmless)
     f.ctl->trackAccess(blk(1), AccessType::Read, false);
     f.ctl->onEviction(blk(99), true);
     EXPECT_FALSE(f.ctl->abortPending());
+}
+
+TEST(L1TxBits, TrackBeforeMissAndTrackAfterHitBothSetTheBit)
+{
+    SharedL1 f(4);
+    f.h[0]->beginTx(0);
+    f.h[1]->beginTx(0);
+    // handleMem order: the track precedes the access that fills the
+    // block, so the fill seeds the bit.
+    f.access(0, blk(1), AccessType::Write);
+    EXPECT_EQ(f.bits(blk(1)), 0b01u);
+    // Lock-subscription order: the access fills first, the track then
+    // marks the resident line. The sibling's bit is its slot's.
+    f.ms->access(1, blk(2), AccessType::Read);
+    EXPECT_EQ(f.bits(blk(2)), 0u);
+    f.h[1]->trackAccess(blk(2), AccessType::Read, false);
+    EXPECT_EQ(f.bits(blk(2)), 0b10u);
+    // Both contexts tracking one block: both bits.
+    f.h[0]->trackAccess(blk(2), AccessType::Read, false);
+    EXPECT_EQ(f.bits(blk(2)), 0b11u);
+}
+
+TEST(L1TxBits, TxEndClearsOnlyItsOwnBits)
+{
+    SharedL1 f(4);
+    f.h[0]->beginTx(0);
+    f.h[1]->beginTx(0);
+    f.access(0, blk(1), AccessType::Read);
+    f.access(1, blk(1), AccessType::Read);
+    f.access(1, blk(2), AccessType::Write);
+    EXPECT_EQ(f.bits(blk(1)), 0b11u);
+    f.h[0]->commitTx(1);
+    EXPECT_EQ(f.bits(blk(1)), 0b10u);
+    // An acknowledged abort ends the TX too.
+    f.h[1]->requestAbort(AbortReason::Conflict);
+    EXPECT_EQ(f.bits(blk(1)), 0b10u); // pending: still tracked
+    f.h[1]->acknowledgeAbort(2);
+    EXPECT_EQ(f.bits(blk(1)), 0u);
+    EXPECT_EQ(f.bits(blk(2)), 0u);
+}
+
+TEST(L1TxBits, RefillOfABlockAPendingSiblingStillTracksIsPinned)
+{
+    SharedL1 f(2);
+    f.h[0]->beginTx(0);
+    f.h[1]->beginTx(0);
+    const Addr b = blk(1), x = blk(2), y = blk(3), z = blk(4);
+    f.access(0, b, AccessType::Read);
+    f.access(1, x, AccessType::Read);
+    // Both ways pinned: the fill of y displaces the LRU pinned line, b,
+    // which aborts context 0. The abort stays pending until context 0
+    // steps again; until then its TX still tracks b.
+    f.access(1, y, AccessType::Read, /*tracked=*/false);
+    EXPECT_EQ(f.ms->probeL1(0, b), nullptr);
+    ASSERT_TRUE(f.h[0]->abortPending());
+    ASSERT_TRUE(f.h[0]->inTx());
+    f.h[1]->commitTx(1); // x unpinned
+    // Context 1 refills b: the fill asks context 0, whose pending TX
+    // still tracks b, so the line comes back pinned.
+    f.access(1, b, AccessType::Read, /*tracked=*/false);
+    EXPECT_EQ(f.bits(b), 0b01u);
+    f.ms->access(1, y, AccessType::Read); // y is now more recent than b
+    f.ms->access(1, z, AccessType::Read);
+    EXPECT_NE(f.ms->probeL1(0, b), nullptr) << "pinned b was evicted";
+    EXPECT_EQ(f.ms->probeL1(0, y), nullptr);
+    // Acknowledging the abort ends the TX and releases the pin.
+    f.h[0]->acknowledgeAbort(2);
+    EXPECT_EQ(f.bits(b), 0u);
+}
+
+TEST(L1TxBits, OnlyL1TMControllersPinLines)
+{
+    mem::MemConfig mc;
+    mem::MemorySystem ms(mc, 1);
+    HtmStats stats;
+    HtmConfig cfg;
+    cfg.kind = HtmKind::InfCap;
+    const mem::ContextId c = ms.addContext(0);
+    HtmController h(cfg, c, &stats);
+    ms.setListener(c, &h);
+    h.attachL1(&ms);
+    h.beginTx(0);
+    h.trackAccess(blk(1), AccessType::Read, false);
+    ms.access(c, blk(1), AccessType::Read);
+    EXPECT_EQ(ms.probeL1(c, blk(1))->txMask, 0u);
+}
+
+TEST(L1TxBits, MoreContextsOnOneL1ThanMaskBitsIsFatal)
+{
+    mem::MemorySystem ms(mem::MemConfig{}, 1);
+    HtmStats stats;
+    HtmConfig cfg;
+    cfg.kind = HtmKind::L1TM;
+    std::vector<std::unique_ptr<HtmController>> hs;
+    for (unsigned i = 0; i <= mem::txMaskBits; ++i) {
+        const mem::ContextId c = ms.addContext(0);
+        hs.push_back(std::make_unique<HtmController>(cfg, c, &stats));
+        ms.setListener(c, hs.back().get());
+        if (i < mem::txMaskBits)
+            hs.back()->attachL1(&ms);
+        else
+            EXPECT_THROW(hs.back()->attachL1(&ms), std::runtime_error);
+    }
 }
 
 TEST(Controller, InfCapNeverCapacityAborts)

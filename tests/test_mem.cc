@@ -44,6 +44,13 @@ struct RecordingListener : SnoopListener
     }
 };
 
+/** Claims to track every block, so every line it sees filled is
+ * pinned. */
+struct PinAllListener : RecordingListener
+{
+    bool tracksBlock(Addr) const override { return true; }
+};
+
 MemConfig
 smallConfig()
 {
@@ -109,30 +116,28 @@ TEST(CacheArray, InvalidatedLineIsReusedFirst)
 TEST(CacheArray, PinnedLinesEvictedLast)
 {
     CacheArray arr(CacheGeometry(256, 2));
-    arr.insert(0, CoherState::Shared);   // will be pinned
-    arr.insert(128, CoherState::Shared); // unpinned
+    arr.insert(0, CoherState::Shared, /*tx_mask=*/1); // pinned
+    arr.insert(128, CoherState::Shared);              // unpinned
     arr.lookup(0); // make the pinned line MRU-irrelevant: pin wins anyway
     arr.lookup(128);
-    CacheArray::PinPredicate pin = [](Addr a) { return a == 0; };
-    Eviction ev = arr.insert(256, CoherState::Shared, &pin);
+    Eviction ev = arr.insert(256, CoherState::Shared);
     EXPECT_TRUE(ev.happened);
     EXPECT_EQ(ev.blockAddr, 128u); // despite 128 being more recent
 
     // Now both resident lines (0 and 256) — pin both: eviction must fall
     // back to a pinned victim.
-    CacheArray::PinPredicate pin_all = [](Addr) { return true; };
-    ev = arr.insert(384, CoherState::Shared, &pin_all);
+    arr.probe(256)->txMask = 0b10;
+    ev = arr.insert(384, CoherState::Shared);
     EXPECT_TRUE(ev.happened);
 }
 
 TEST(CacheArray, PinnedFallbackPicksLruAmongPinned)
 {
     CacheArray arr(CacheGeometry(256, 2)); // 2 sets x 2 ways
-    arr.insert(0, CoherState::Shared);
-    arr.insert(128, CoherState::Shared);
+    arr.insert(0, CoherState::Shared, 1);
+    arr.insert(128, CoherState::Shared, 1);
     arr.lookup(0); // 128 is now LRU
-    CacheArray::PinPredicate pin_all = [](Addr) { return true; };
-    const Eviction ev = arr.insert(256, CoherState::Shared, &pin_all);
+    const Eviction ev = arr.insert(256, CoherState::Shared);
     EXPECT_TRUE(ev.happened);
     EXPECT_EQ(ev.blockAddr, 128u); // LRU even within the pinned set
     EXPECT_NE(arr.probe(0), nullptr);
@@ -142,12 +147,25 @@ TEST(CacheArray, PinnedFallbackPicksLruAmongPinned)
 TEST(CacheArray, PinnedFallbackReportsDirtyVictim)
 {
     CacheArray arr(CacheGeometry(128, 1)); // direct mapped
-    arr.insert(0, CoherState::Modified);
-    CacheArray::PinPredicate pin_all = [](Addr) { return true; };
-    const Eviction ev = arr.insert(128, CoherState::Shared, &pin_all);
+    arr.insert(0, CoherState::Modified, 1);
+    const Eviction ev = arr.insert(128, CoherState::Shared);
     EXPECT_TRUE(ev.happened);
     EXPECT_EQ(ev.blockAddr, 0u);
     EXPECT_TRUE(ev.dirty); // writeback still owed for a pinned victim
+}
+
+TEST(CacheArray, FillSeedsTxBitsAndReinsertKeepsThem)
+{
+    CacheArray arr(CacheGeometry(256, 2));
+    arr.insert(0, CoherState::Shared, 0b11);
+    EXPECT_EQ(arr.probe(0)->txMask, 0b11u);
+    arr.insert(0, CoherState::Modified); // resident: bits stay
+    EXPECT_EQ(arr.probe(0)->txMask, 0b11u);
+    // A victim's bits never leak into the line that replaces it.
+    arr.insert(128, CoherState::Shared, 1);
+    arr.insert(256, CoherState::Shared); // both pinned: LRU (0) goes
+    ASSERT_NE(arr.probe(256), nullptr);
+    EXPECT_EQ(arr.probe(256)->txMask, 0u);
 }
 
 TEST(CacheArray, ReinsertExistingBlockDoesNotEvict)
@@ -422,12 +440,18 @@ TEST(Directory, PinnedLineEvictionStillClearsMask)
     const ContextId c0 = ms.addContext(0);
     // Pin everything: insertions must still evict (pinned fallback) and
     // the directory must track the forced victim.
-    ms.setPinChecker(0, [](Addr) { return true; });
+    PinAllListener pin_all;
+    ms.setListener(c0, &pin_all);
+    ms.pinTrackedLines(c0);
     for (Addr i = 0; i <= 8; ++i)
         ms.access(c0, i * 128, AccessType::Read);
     std::uint64_t tracked = 0;
-    for (Addr i = 0; i <= 8; ++i)
+    for (Addr i = 0; i <= 8; ++i) {
         tracked += ms.sharerMaskOf(i * 128) != 0 ? 1 : 0;
+        if (const CacheLine *line = ms.probeL1(c0, i * 128)) {
+            EXPECT_EQ(line->txMask, 1u) << "line " << i << " unpinned";
+        }
+    }
     EXPECT_EQ(tracked, 8u); // 9 fills, one eviction, 8 resident
 }
 

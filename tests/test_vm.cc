@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "vm/page_table.hh"
 #include "vm/tlb.hh"
 #include "vm/vm.hh"
@@ -135,6 +137,75 @@ TEST(Tlb, InvalidateAndUpdate)
     PageState st;
     tlb.lookup(8, &st);
     EXPECT_EQ(st, PageState::SharedRo);
+}
+
+TEST(Tlb, TouchRefreshesTheVictimOrder)
+{
+    Tlb tlb(3);
+    Tlb::Entry *a = tlb.insert(1, PageState::PrivateRo);
+    tlb.insert(2, PageState::PrivateRo);
+    tlb.insert(3, PageState::PrivateRo);
+    tlb.touch(a); // 1 becomes most recent: 2 is now LRU
+    std::vector<Addr> evicted;
+    tlb.setEvictObserver([&](Addr p) { evicted.push_back(p); });
+    tlb.insert(4, PageState::PrivateRo);
+    tlb.insert(5, PageState::PrivateRo);
+    EXPECT_EQ(evicted, (std::vector<Addr>{2, 3}));
+    EXPECT_TRUE(tlb.contains(1));
+    // An invalidated slot is reused before any live entry is evicted.
+    evicted.clear();
+    EXPECT_TRUE(tlb.invalidate(4));
+    tlb.insert(6, PageState::PrivateRo);
+    EXPECT_EQ(evicted, (std::vector<Addr>{4})); // the invalidation only
+    EXPECT_EQ(tlb.size(), 3u);
+}
+
+TEST(Tlb, EntriesStayStableAcrossUnrelatedInsertsAndEvictions)
+{
+    Tlb tlb(4);
+    Tlb::Entry *keep = tlb.insert(100, PageState::SharedRo);
+    for (Addr p = 0; p < 40; ++p) {
+        tlb.insert(p, PageState::PrivateRw);
+        tlb.touch(keep); // never the victim
+        if (p % 3 == 0)
+            tlb.invalidate(p);
+    }
+    ASSERT_TRUE(tlb.contains(100));
+    EXPECT_EQ(keep, tlb.lookupEntry(100));
+    EXPECT_EQ(keep->page, 100u);
+    EXPECT_EQ(keep->state, PageState::SharedRo);
+}
+
+TEST(Tlb, SaveLoadRoundTripKeepsStampsAndVictimOrder)
+{
+    Tlb a(3);
+    a.insert(1, PageState::PrivateRo);
+    a.insert(2, PageState::SharedRo);
+    a.insert(3, PageState::PrivateRw);
+    a.lookup(1);
+    a.invalidate(3);
+    const Tlb::State s = a.saveState();
+    Tlb b(3);
+    b.insert(9, PageState::SharedRw); // overwritten by the load
+    b.loadState(s);
+    EXPECT_EQ(b.saveState().clock, s.clock);
+    EXPECT_EQ(b.saveState().stamps, s.stamps);
+    EXPECT_FALSE(b.contains(9));
+    EXPECT_FALSE(b.contains(3));
+    EXPECT_EQ(b.size(), 2u);
+    PageState st;
+    ASSERT_TRUE(b.lookup(2, &st));
+    EXPECT_EQ(st, PageState::SharedRo);
+    // Both copies now evict in the same order.
+    for (Tlb *t : {&a, &b}) {
+        std::vector<Addr> evicted;
+        t->setEvictObserver([&](Addr p) { evicted.push_back(p); });
+        t->lookup(2);
+        for (Addr p = 10; p < 14; ++p)
+            t->insert(p, PageState::PrivateRo);
+        EXPECT_EQ(evicted, (std::vector<Addr>{1, 2, 10}));
+        t->setEvictObserver(nullptr);
+    }
 }
 
 TEST(Vm, DisabledClassificationOnlyModelsTlb)

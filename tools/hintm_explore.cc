@@ -251,8 +251,8 @@ replay(const std::string &path)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     Setup s;
     sim::ExploreOptions opt;
@@ -393,4 +393,10 @@ main(int argc, char **argv)
         }
     }
     return rep.anyFatal() ? 1 : 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return hintm::runMain(argc, argv, run);
 }

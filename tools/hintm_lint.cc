@@ -173,8 +173,8 @@ mutateWorkload(const std::string &name, workloads::Scale scale,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     std::string workload;
     workloads::Scale scale = workloads::Scale::Tiny;
@@ -256,4 +256,10 @@ main(int argc, char **argv)
                 "across %zu workload(s)\n",
                 diags, witnesses, names.size());
     return diags + witnesses == 0 ? 0 : 1;
+}
+
+int
+main(int argc, char **argv)
+{
+    return hintm::runMain(argc, argv, run);
 }

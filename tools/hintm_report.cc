@@ -165,8 +165,8 @@ fixed1(double v)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     std::string workload = "intruder";
     workloads::Scale scale = workloads::Scale::Small;
@@ -451,4 +451,10 @@ main(int argc, char **argv)
         std::printf("report: %s\n", outPath.c_str());
     }
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return hintm::runMain(argc, argv, run);
 }

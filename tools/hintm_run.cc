@@ -92,8 +92,8 @@ usage(int code)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+run(int argc, char **argv)
 {
     std::string workload = "kmeans";
     workloads::Scale scale = workloads::Scale::Small;
@@ -339,4 +339,10 @@ main(int argc, char **argv)
         std::printf("\n-- raw statistics --\n%s", r.rawStats.c_str());
     }
     return opts.hintOracle && !r.oracleWitnesses.empty() ? 1 : 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return hintm::runMain(argc, argv, run);
 }
