@@ -62,7 +62,6 @@ run(int argc, char **argv)
     bench::PreparedWorkload p;
     p.wl = annotatedLabyrinth(args.scale);
     p.compileReport = core::compileHints(p.wl.module);
-    p.scale = args.scale;
     std::printf("compiler: %s\n\n", p.compileReport.summary().c_str());
 
     TextTable t;

@@ -1,9 +1,9 @@
 /**
  * @file
  * Shared plumbing for the figure-reproduction harnesses: workload
- * compilation caching, config sweeps, the parallel experiment runner
- * (runMatrix), the process-wide result cache, JSON perf reporting, and
- * result formatting helpers.
+ * preparation, the shared flags, the parallel experiment runner
+ * (runMatrix), the --perfetto/--stats-json exports, and result
+ * formatting helpers.
  */
 
 #ifndef HINTM_BENCH_BENCH_UTIL_HH
@@ -32,8 +32,6 @@ struct BenchArgs
     bool preserve = false;
     /** Concurrent simulations (0 = hardware concurrency). */
     unsigned jobs = 0;
-    /** When non-empty, a per-run perf report is written here at exit. */
-    std::string jsonPath;
     /** --lint: run the static race-lint pass over every workload as it
      * is prepared and abort on any diagnostic (soundness gate). */
     bool lint = false;
@@ -50,13 +48,6 @@ struct BenchArgs
     /** --stats-json [FILE]: write machine-readable per-run stats
      * records at exit (journal sections when --journal is on). */
     std::string statsJsonPath;
-    /** --cache-dir DIR: persistent result-cache location (default:
-     * $XDG_CACHE_HOME/hintm or ~/.cache/hintm). */
-    std::string cacheDir;
-    /** --no-disk-cache: run without the persistent result cache. */
-    bool noDiskCache = false;
-    /** --cache-clear: wipe the cache directory before running. */
-    bool cacheClear = false;
 
     static BenchArgs parse(int argc, char **argv);
     std::vector<std::string> names() const;
@@ -76,7 +67,7 @@ struct PreparedWorkload
 {
     workloads::Workload wl;
     compiler::SafetyReport compileReport;
-    /** Scale the workload was built at (result-cache key component). */
+    /** Unread here; kept because perfbench sets it. */
     workloads::Scale scale = workloads::Scale::Small;
 };
 
@@ -86,7 +77,7 @@ struct PreparedWorkload
 PreparedWorkload prepare(const std::string &name, workloads::Scale s,
                          unsigned threads = 0);
 
-/** Run a prepared workload under the given options (no cache). */
+/** Run a prepared workload under the given options. */
 sim::RunResult run(const PreparedWorkload &p, core::SystemOptions opts);
 
 /**
@@ -102,35 +93,12 @@ struct MatrixJob
 /**
  * Execute the jobs concurrently on @p host_jobs threads (0 = hardware
  * concurrency, clamped — see effectiveJobs) and return results in
- * submission order. Every simulation is deterministic and
- * self-contained, so the results are bit-identical to a sequential run
- * regardless of host_jobs. Identical (workload, scale, options,
- * threads) jobs — within this call or across calls — simulate once:
- * duplicates are deduped before scheduling, completed runs are served
- * from a process-wide cache, and (when configured via
- * setDiskResultCache) from the persistent on-disk store.
+ * submission order. Every job simulates: each simulation is
+ * deterministic and self-contained, so the results are bit-identical
+ * to a sequential run regardless of host_jobs.
  */
 std::vector<sim::RunResult> runMatrix(const std::vector<MatrixJob> &jobs,
                                       unsigned host_jobs = 0);
-
-/**
- * The exact cache identity of one matrix job: workload name, scale,
- * thread count, a fingerprint of the (possibly mutated) module, and
- * every SystemOptions field. Two jobs with equal keys produce
- * bit-identical RunResults; the on-disk store additionally scopes keys
- * by a content hash of the simulator binary. Key changes must be
- * deliberate — a golden-string test locks the format.
- */
-std::string matrixJobKey(const MatrixJob &job);
-
-/**
- * Configure the persistent result cache behind runMatrix. Disabled
- * until called (library default), so tests and embedders are hermetic;
- * BenchArgs::parse enables it for every harness binary unless
- * --no-disk-cache is given. An empty @p dir disables regardless of
- * @p enabled.
- */
-void setDiskResultCache(const std::string &dir, bool enabled);
 
 /**
  * Host worker threads runMatrix will actually use for @p requested
@@ -145,37 +113,26 @@ void setDiskResultCache(const std::string &dir, bool enabled);
  */
 unsigned effectiveJobs(unsigned requested, unsigned sim_threads = 8);
 
-/** Process-wide result-cache counters (testing/diagnostic aid). */
+/** Always zero: runMatrix neither dedupes nor forks. Kept, with
+ * matrixCacheStats() and clearMatrixCache(), because perfbench reports
+ * these fields as bench.deduped and bench.prefix_forks. */
 struct MatrixCacheStats
 {
-    /** Served from the in-memory cache (prior runMatrix calls). */
-    std::uint64_t hits = 0;
-    /** Simulated (not served from any cache). */
-    std::uint64_t misses = 0;
-    /** Duplicates of another job in the same call (never scheduled). */
     std::uint64_t deduped = 0;
-    /** Served from the persistent on-disk store. */
-    std::uint64_t diskHits = 0;
-    /** Fresh results persisted to the on-disk store. */
-    std::uint64_t diskStores = 0;
-    /** Always 0: runMatrix no longer forks from a shared init phase.
-     * Kept because perfbench reports it as bench.prefix_forks. */
     std::uint64_t prefixForks = 0;
 };
 
-MatrixCacheStats matrixCacheStats();
+inline MatrixCacheStats
+matrixCacheStats()
+{
+    return {};
+}
 
-/** Drop all in-memory cached results and zero the counters (tests).
- * The on-disk store is unaffected (--cache-clear wipes that). */
-void clearMatrixCache();
-
-/**
- * Arrange for a JSON array of per-run perf records (workload, config,
- * host wall-time, simulated cycles, instructions, abort breakdown) to
- * be written to @p path when the process exits. Called automatically by
- * BenchArgs::parse for --json.
- */
-void setJsonReport(const std::string &path);
+/** Does nothing: runMatrix keeps no results between calls. */
+inline void
+clearMatrixCache()
+{
+}
 
 /**
  * Arrange for observability exports at process exit: a combined

@@ -1,15 +1,7 @@
 #include "result_store.hh"
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
-#include <system_error>
-#include <unistd.h>
 
-#include "common/logging.hh"
 #include "htm/abort.hh"
 
 namespace hintm
@@ -32,25 +24,10 @@ fnv1a(const void *data, std::size_t n, std::uint64_t seed)
 namespace
 {
 
-namespace fs = std::filesystem;
-
-constexpr char entryMagic[4] = {'H', 'T', 'M', 'R'};
-/** Bump on ANY change to the payload encoding below. */
-constexpr std::uint32_t formatVersion = 1;
-
-// ---- little binary writer/reader -----------------------------------
-
 void
 putU64(std::string &out, std::uint64_t v)
 {
     for (int i = 0; i < 8; ++i)
-        out.push_back(char((v >> (8 * i)) & 0xFF));
-}
-
-void
-putU32(std::string &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
         out.push_back(char((v >> (8 * i)) & 0xFF));
 }
 
@@ -90,100 +67,6 @@ putDist(std::string &out, const stats::Distribution &d)
     putU64Vec(out, img.buckets);
 }
 
-/** Bounds-checked sequential reader; any overrun latches fail(). */
-class Reader
-{
-  public:
-    explicit Reader(const std::string &buf) : buf_(buf) {}
-
-    std::uint64_t
-    u64()
-    {
-        if (pos_ + 8 > buf_.size()) {
-            failed_ = true;
-            return 0;
-        }
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= std::uint64_t(std::uint8_t(buf_[pos_ + i])) << (8 * i);
-        pos_ += 8;
-        return v;
-    }
-
-    std::uint32_t
-    u32()
-    {
-        if (pos_ + 4 > buf_.size()) {
-            failed_ = true;
-            return 0;
-        }
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= std::uint32_t(std::uint8_t(buf_[pos_ + i])) << (8 * i);
-        pos_ += 4;
-        return v;
-    }
-
-    std::string
-    str()
-    {
-        const std::uint64_t n = u64();
-        if (failed_ || pos_ + n > buf_.size()) {
-            failed_ = true;
-            return {};
-        }
-        std::string s = buf_.substr(pos_, n);
-        pos_ += n;
-        return s;
-    }
-
-    std::vector<std::uint64_t>
-    u64Vec()
-    {
-        const std::uint64_t n = u64();
-        if (failed_ || n > (buf_.size() - pos_) / 8) {
-            failed_ = true;
-            return {};
-        }
-        std::vector<std::uint64_t> v(n);
-        for (std::uint64_t i = 0; i < n; ++i)
-            v[i] = u64();
-        return v;
-    }
-
-    std::vector<std::int64_t>
-    i64Vec()
-    {
-        const std::vector<std::uint64_t> raw = u64Vec();
-        return {raw.begin(), raw.end()};
-    }
-
-    void
-    dist(stats::Distribution &d)
-    {
-        stats::Distribution::Image img;
-        img.bucketWidth = u64();
-        img.overflow = u64();
-        img.count = u64();
-        img.sum = u64();
-        img.minRaw = u64();
-        img.max = u64();
-        img.buckets = u64Vec();
-        if (!failed_ && img.bucketWidth >= 1 && !img.buckets.empty())
-            d.setImage(img);
-        else
-            failed_ = true;
-    }
-
-    bool ok() const { return !failed_; }
-    bool atEnd() const { return pos_ == buf_.size(); }
-
-  private:
-    const std::string &buf_;
-    std::size_t pos_ = 0;
-    bool failed_ = false;
-};
-
 void
 putSharing(std::string &out, const sim::SharingSummary &s)
 {
@@ -192,25 +75,6 @@ putSharing(std::string &out, const sim::SharingSummary &s)
     putU64(out, s.txReads);
     putU64(out, s.txReadsToSafe);
     putU64(out, s.unknownRegions);
-}
-
-void
-readSharing(Reader &rd, sim::SharingSummary &s)
-{
-    s.totalRegions = rd.u64();
-    s.safeRegions = rd.u64();
-    s.txReads = rd.u64();
-    s.txReadsToSafe = rd.u64();
-    s.unknownRegions = rd.u64();
-}
-
-std::string
-hex64(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
 }
 
 } // namespace
@@ -270,164 +134,6 @@ encodeRunResult(const sim::RunResult &r)
     return out;
 }
 
-bool
-decodeRunResult(const std::string &payload, sim::RunResult &out)
-{
-    Reader rd(payload);
-    sim::RunResult r;
-    r.cycles = rd.u64();
-    r.instructions = rd.u64();
-
-    r.htm.begins = rd.u64();
-    r.htm.commits = rd.u64();
-    if (rd.u64() != htm::numAbortReasons)
-        return false; // abort taxonomy changed: stale entry
-    for (unsigned a = 0; a < htm::numAbortReasons; ++a)
-        r.htm.aborts[a] = rd.u64();
-    for (unsigned a = 0; a < htm::numAbortReasons; ++a)
-        r.htm.cyclesLost[a] = rd.u64();
-    rd.dist(r.htm.trackedAtCommit);
-    r.htm.signatureSpills = rd.u64();
-    r.htm.preAbortConversions = rd.u64();
-
-    r.txReadsStaticSafe = rd.u64();
-    r.txReadsDynSafe = rd.u64();
-    r.txReadsAnnotated = rd.u64();
-    r.txWritesStaticSafe = rd.u64();
-    r.txReadsUnsafe = rd.u64();
-    r.txWritesUnsafe = rd.u64();
-    r.txAccessesSuspended = rd.u64();
-
-    r.pageModeOverheadCycles = rd.u64();
-    r.fallbackRuns = rd.u64();
-    r.committedTxs = rd.u64();
-    r.safePages = rd.u64();
-    r.totalPages = rd.u64();
-
-    rd.dist(r.txSizeAll);
-    rd.dist(r.txSizeNoStatic);
-    rd.dist(r.txSizeUnsafe);
-
-    readSharing(rd, r.blockSharing);
-    readSharing(rd, r.pageSharing);
-
-    const std::uint64_t num_globals = rd.u64();
-    for (std::uint64_t i = 0; rd.ok() && i < num_globals; ++i) {
-        std::string name = rd.str();
-        r.finalGlobals.emplace(std::move(name), rd.i64Vec());
-    }
-
-    r.rawStats = rd.str();
-
-    const std::uint64_t num_witnesses = rd.u64();
-    for (std::uint64_t i = 0; rd.ok() && i < num_witnesses; ++i)
-        r.oracleWitnesses.push_back(rd.str());
-    r.oracleSafeChecked = rd.u64();
-    r.oracleSafeSkips = rd.u64();
-
-    if (!rd.ok() || !rd.atEnd())
-        return false;
-    out = std::move(r);
-    return true;
-}
-
-ResultStore::ResultStore(std::string dir, std::uint64_t bin_hash)
-    : dir_(std::move(dir)), binHash_(bin_hash)
-{
-}
-
-std::string
-ResultStore::entryPath(const std::string &key) const
-{
-    return dir_ + "/" + hex64(binHash_) + "/" +
-           hex64(fnv1a(key.data(), key.size())) + ".res";
-}
-
-bool
-ResultStore::load(const std::string &key, sim::RunResult &out) const
-{
-    std::ifstream is(entryPath(key), std::ios::binary);
-    if (!is)
-        return false;
-    std::string buf((std::istreambuf_iterator<char>(is)),
-                    std::istreambuf_iterator<char>());
-    if (buf.size() < 4 || std::memcmp(buf.data(), entryMagic, 4) != 0)
-        return false;
-    Reader hd(buf);
-    (void)hd.u32(); // magic (validated above)
-    if (hd.u32() != formatVersion)
-        return false;
-    if (hd.u64() != binHash_)
-        return false;
-    if (hd.str() != key)
-        return false;
-    const std::string payload = hd.str();
-    if (!hd.ok())
-        return false;
-    if (hd.u64() != fnv1a(payload.data(), payload.size()))
-        return false;
-    if (!hd.ok() || !hd.atEnd())
-        return false;
-    return decodeRunResult(payload, out);
-}
-
-void
-ResultStore::store(const std::string &key, const sim::RunResult &r) const
-{
-    if (r.journal)
-        return; // journals are not persisted
-    std::string buf;
-    buf.append(entryMagic, 4);
-    putU32(buf, formatVersion);
-    putU64(buf, binHash_);
-    putStr(buf, key);
-    const std::string payload = encodeRunResult(r);
-    putStr(buf, payload);
-    putU64(buf, fnv1a(payload.data(), payload.size()));
-
-    const std::string path = entryPath(key);
-    std::error_code ec;
-    fs::create_directories(fs::path(path).parent_path(), ec);
-    if (ec) {
-        warn("result cache: cannot create ", dir_, ": ", ec.message());
-        return;
-    }
-    static std::atomic<unsigned> tmpSeq{0};
-    const std::string tmp = path + ".tmp" +
-                            std::to_string(::getpid()) + "." +
-                            std::to_string(tmpSeq++);
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os) {
-            warn("result cache: cannot write ", tmp);
-            return;
-        }
-        os.write(buf.data(), std::streamsize(buf.size()));
-        if (!os) {
-            warn("result cache: short write to ", tmp);
-            os.close();
-            fs::remove(tmp, ec);
-            return;
-        }
-    }
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        warn("result cache: cannot publish ", path, ": ", ec.message());
-        fs::remove(tmp, ec);
-    }
-}
-
-std::string
-ResultStore::defaultDir()
-{
-    if (const char *xdg = std::getenv("XDG_CACHE_HOME");
-        xdg && *xdg)
-        return std::string(xdg) + "/hintm";
-    if (const char *home = std::getenv("HOME"); home && *home)
-        return std::string(home) + "/.cache/hintm";
-    return {};
-}
-
 std::uint64_t
 ResultStore::selfBinaryHash()
 {
@@ -445,19 +151,6 @@ ResultStore::selfBinaryHash()
         return h;
     }();
     return hash;
-}
-
-void
-ResultStore::clearDir(const std::string &dir)
-{
-    std::error_code ec;
-    if (!fs::is_directory(dir, ec))
-        return;
-    for (fs::recursive_directory_iterator it(dir, ec), end;
-         !ec && it != end; it.increment(ec)) {
-        if (it->is_regular_file(ec) && it->path().extension() == ".res")
-            fs::remove(it->path(), ec);
-    }
 }
 
 } // namespace bench

@@ -1,21 +1,8 @@
 /**
  * @file
- * Persistent on-disk result cache for the benchmark harnesses. Promotes
- * the process-wide in-memory result cache to a store that survives the
- * process, so re-running a figure sweep only simulates the delta.
- *
- * Keying: entries are valid for (simulator binary, full job key) pairs.
- * The binary is identified by a content hash of /proc/self/exe — any
- * rebuild invalidates every cached result, which is the conservative
- * answer to "did this code change affect simulation results?". The job
- * key (bench_util's matrixJobKey) captures the workload, scale, thread
- * count, a module fingerprint and every SystemOptions field.
- *
- * Robustness: writes are atomic (temp file + rename), entries carry a
- * magic/version header, the embedded key and a payload checksum; any
- * validation failure reads as a miss, never an error. Journal-carrying
- * results are not persisted (the journal is an observability artifact
- * sized like the run itself).
+ * A stable byte encoding of a RunResult and the FNV-1a hash over it:
+ * the digest table, the equivalence properties and perfbench compare
+ * runs through these.
  */
 
 #ifndef HINTM_BENCH_RESULT_STORE_HH
@@ -35,48 +22,15 @@ namespace bench
 std::uint64_t fnv1a(const void *data, std::size_t n,
                     std::uint64_t seed = 0xcbf29ce484222325ull);
 
-/** Binary serialization of a RunResult (exposed for tests). The journal
- * pointer is not encoded; decode leaves it null. */
+/** Binary serialization of a RunResult. The journal and metrics
+ * pointers are not encoded. */
 std::string encodeRunResult(const sim::RunResult &r);
 
-/** @return false when @p payload is malformed (any version skew or
- * corruption); @p out is untouched in that case. */
-bool decodeRunResult(const std::string &payload, sim::RunResult &out);
-
-/** One on-disk cache directory bound to one simulator binary. */
-class ResultStore
+/** Kept because perfbench names the binary it reports by this hash. */
+struct ResultStore
 {
-  public:
-    /**
-     * @param dir cache root (created lazily on first store)
-     * @param bin_hash content hash of the owning binary
-     */
-    ResultStore(std::string dir, std::uint64_t bin_hash);
-
-    /** @return true and fill @p out on a valid cached entry for
-     * @p key; corrupt/mismatched/absent entries are misses. */
-    bool load(const std::string &key, sim::RunResult &out) const;
-
-    /** Persist @p r under @p key (atomic; best-effort — IO failures
-     * warn and drop the entry rather than failing the run). */
-    void store(const std::string &key, const sim::RunResult &r) const;
-
-    const std::string &dir() const { return dir_; }
-
-    /** $XDG_CACHE_HOME/hintm or ~/.cache/hintm (empty when no home). */
-    static std::string defaultDir();
-
     /** Content hash of /proc/self/exe (0 when unreadable). */
     static std::uint64_t selfBinaryHash();
-
-    /** Remove every cache entry under @p dir (--cache-clear). */
-    static void clearDir(const std::string &dir);
-
-  private:
-    std::string entryPath(const std::string &key) const;
-
-    std::string dir_;
-    std::uint64_t binHash_;
 };
 
 } // namespace bench

@@ -16,8 +16,9 @@ using namespace hintm;
 static int
 run(int argc, char **argv)
 {
-    // No simulations here; parse so the shared flags (--jobs, --json)
-    // from driver scripts are accepted.
+    // No simulations here; parse so the shared flags (--jobs, --tiny)
+    // that scripts such as reproduce_all.sh pass every harness are
+    // accepted.
     (void)bench::BenchArgs::parse(argc, argv);
     std::cout << "== Table II: simulation parameters ==\n\n";
     for (htm::HtmKind kind :

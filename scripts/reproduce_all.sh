@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Regenerate every paper figure/table plus the ablations into results/.
+# Regenerate every paper figure/table plus the ablations into results/,
+# then check the paper's shapes on the figure outputs with
+# check_shapes.py; the exit status is that script's.
 # Usage: scripts/reproduce_all.sh [build-dir] (default: build)
 # Env:   JOBS=N  host threads per harness (default: nproc)
 set -euo pipefail
@@ -27,9 +29,12 @@ benches=(
 
 for b in "${benches[@]}"; do
     echo "== $b (jobs=$JOBS) =="
-    "$BUILD/bench/$b" --jobs "$JOBS" --json "$OUT/$b.json" \
-        | tee "$OUT/$b.txt"
+    "$BUILD/bench/$b" --jobs "$JOBS" | tee "$OUT/$b.txt"
     echo
 done
 
 echo "All outputs written to $OUT/. Compare against EXPERIMENTS.md."
+echo
+echo "== shape checks =="
+cat "$OUT"/{fig1_motivation,fig4_p8,fig5_breakdown,fig7_p8s,fig8_l1tm}.txt \
+    | python3 "$(dirname "$0")/check_shapes.py" /dev/stdin

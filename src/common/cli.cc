@@ -44,7 +44,7 @@ runMain(int argc, char **argv, int (*body)(int, char **))
         return body(argc, argv);
     } catch (const FatalError &) {
         // The "fatal:" line is already out. Skip the exit-time writers
-        // (the --json / --perfetto / --stats-json reports), so a failed
+        // (the --perfetto / --stats-json reports), so a failed
         // run leaves no partial report over an earlier good one.
         std::cout.flush();
         std::fflush(nullptr);

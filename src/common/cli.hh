@@ -47,8 +47,8 @@ parseFlag(const std::string &flag, const char *value)
  * printed its one "fatal:" line, so it ends the process with exit code
  * 2 instead of escaping main into std::terminate. It ends it through
  * std::_Exit after flushing stdout and stderr: the atexit report
- * writers do not run, so no --json, --perfetto or --stats-json file
- * is written.
+ * writers do not run, so no --perfetto or --stats-json file is
+ * written.
  */
 int runMain(int argc, char **argv, int (*body)(int, char **));
 

@@ -8,7 +8,7 @@ file(MAKE_DIRECTORY ${OUT_DIR})
 foreach(jobs 1 4)
     execute_process(
         COMMAND ${HARNESS} --tiny --workload kmeans --workload intruder
-                --journal --no-disk-cache --jobs ${jobs}
+                --journal --jobs ${jobs}
                 --stats-json ${OUT_DIR}/jobs${jobs}.json
         RESULT_VARIABLE rc
         OUTPUT_QUIET)

@@ -1,21 +1,19 @@
 /**
  * @file
  * Tests for the benchmark-harness plumbing: argument parsing, reduction
- * and geomean math, the prepare/run round trip, the matrix job-key
- * format, and the persistent on-disk result store (round trip,
- * corruption tolerance, runMatrix integration).
+ * and geomean math, the prepare/run round trip, the host job count,
+ * the RunResult encoding, and that a harness run leaves no files in the
+ * user's cache directory.
  */
 
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "../bench/bench_util.hh"
 #include "../bench/result_store.hh"
+#include "common/logging.hh"
 
 using namespace hintm;
 using bench::BenchArgs;
@@ -29,28 +27,6 @@ parse(std::vector<const char *> argv)
     argv.insert(argv.begin(), "bench");
     return BenchArgs::parse(int(argv.size()),
                             const_cast<char **>(argv.data()));
-}
-
-/** Fresh scratch directory for disk-cache tests. */
-std::string
-makeTempDir()
-{
-    char tmpl[] = "/tmp/hintm_cache_test_XXXXXX";
-    const char *d = mkdtemp(tmpl);
-    EXPECT_NE(d, nullptr);
-    return d ? d : "";
-}
-
-/** The single .res entry under @p dir (empty when none). */
-std::string
-onlyEntry(const std::string &dir)
-{
-    namespace fs = std::filesystem;
-    for (const auto &e : fs::recursive_directory_iterator(dir)) {
-        if (e.is_regular_file() && e.path().extension() == ".res")
-            return e.path().string();
-    }
-    return "";
 }
 
 } // namespace
@@ -81,6 +57,33 @@ TEST(BenchArgs, UnknownArgumentFatals)
     EXPECT_THROW(parse({"--bogus"}), std::runtime_error);
 }
 
+TEST(BenchArgs, MissingValueSaysSo)
+{
+    // The flag exists; a trailing one without its value must not read
+    // as an unknown argument.
+    for (const char *flag : {"--jobs", "--workload"}) {
+        try {
+            parse({"--tiny", flag});
+            ADD_FAILURE() << flag << " without a value was accepted";
+        } catch (const FatalError &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      std::string("fatal: ") + flag + " needs a value");
+        }
+    }
+}
+
+TEST(BenchArgs, JsonFlagIsUnknown)
+{
+    // perfbench is the one timer: a harness command line that still asks
+    // for a wall-time report stops at once instead of running untimed.
+    try {
+        parse({"--json", "timings.json", "--tiny"});
+        ADD_FAILURE() << "--json was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_EQ(std::string(e.what()), "fatal: unknown argument --json");
+    }
+}
+
 TEST(BenchArgs, JobsFlag)
 {
     EXPECT_EQ(parse({}).jobs, 0u); // 0 = hardware concurrency
@@ -95,14 +98,12 @@ TEST(BenchArgs, ObservationFlagsApplyOnlyThroughOptions)
 {
     // Parsing must not flip process-wide state: configs built from
     // options() journal and collect metrics, a fresh one does neither.
-    const BenchArgs a =
-        parse({"--journal", "--metrics", "--no-disk-cache"});
+    const BenchArgs a = parse({"--journal", "--metrics"});
     EXPECT_TRUE(a.options().journal);
     EXPECT_TRUE(a.options().metrics);
     const core::SystemOptions fresh;
     EXPECT_FALSE(fresh.journal);
     EXPECT_FALSE(fresh.metrics);
-    bench::setDiskResultCache("", false);
 }
 
 TEST(BenchMath, Reduction)
@@ -142,27 +143,6 @@ TEST(BenchPrepare, CompilesAndRuns)
     EXPECT_GT(r.committedTxs, 0u);
 }
 
-TEST(BenchArgs, CacheFlags)
-{
-    // --no-disk-cache everywhere: parse() wires the process-wide store,
-    // and these parses must not point it at the user's real cache dir.
-    BenchArgs a = parse({"--no-disk-cache"});
-    EXPECT_TRUE(a.cacheDir.empty());
-    EXPECT_TRUE(a.noDiskCache);
-    EXPECT_FALSE(a.cacheClear);
-
-    const std::string dir = makeTempDir();
-    a = parse({"--cache-dir", dir.c_str(), "--no-disk-cache",
-               "--cache-clear"});
-    EXPECT_EQ(a.cacheDir, dir);
-    EXPECT_TRUE(a.noDiskCache);
-    EXPECT_TRUE(a.cacheClear);
-
-    // Undo the process-wide side effect for the rest of the binary.
-    bench::setDiskResultCache("", false);
-    std::filesystem::remove_all(dir);
-}
-
 TEST(EffectiveJobs, PassesThroughAndClampsTheDefault)
 {
     EXPECT_EQ(bench::effectiveJobs(5), 5u);
@@ -172,57 +152,44 @@ TEST(EffectiveJobs, PassesThroughAndClampsTheDefault)
     EXPECT_LE(d, 64u);
 }
 
-TEST(JobKey, GoldenFormatIsStable)
+TEST(BenchRun, LeavesTheCacheHomeEmpty)
 {
-    const bench::PreparedWorkload p =
-        bench::prepare("kmeans", workloads::Scale::Tiny);
-    const core::SystemOptions o; // paper defaults
-    const bench::MatrixJob job{&p, o};
+    // Every run simulates: a harness parses its flags and runs its
+    // matrix without writing under $XDG_CACHE_HOME (or $HOME/.cache).
+    namespace fs = std::filesystem;
+    char tmpl[] = "/tmp/hintm_cache_home_XXXXXX";
+    ASSERT_NE(mkdtemp(tmpl), nullptr);
+    const std::string home = tmpl;
+    const char *old_xdg = std::getenv("XDG_CACHE_HOME");
+    const char *old_home = std::getenv("HOME");
+    const std::string saved_xdg = old_xdg ? old_xdg : "";
+    const std::string saved_home = old_home ? old_home : "";
+    setenv("XDG_CACHE_HOME", (home + "/.cache").c_str(), 1);
+    setenv("HOME", home.c_str(), 1);
 
-    // The module fingerprint is recomputed independently so the golden
-    // string stays valid when workload content evolves; everything else
-    // is spelled out verbatim. Changing the key format invalidates every
-    // persisted cache entry — this test makes that a deliberate act.
-    const std::string text = p.wl.module.print();
-    char fp[20];
-    std::snprintf(fp, sizeof(fp), "%016llx",
-                  static_cast<unsigned long long>(
-                      bench::fnv1a(text.data(), text.size())));
-    std::ostringstream expect;
-    expect << "kmeans|0|" << p.wl.threads << '|' << fp
-           << "|0|0|0000|8x1|1|000|64|1024|8|0000|65536|1|24";
-    EXPECT_EQ(bench::matrixJobKey(job), expect.str());
+    const BenchArgs a = parse({"--tiny", "--workload", "kmeans"});
+    const bench::PreparedWorkload p = bench::prepare("kmeans", a.scale);
+    core::SystemOptions full = a.options();
+    full.mechanism = core::Mechanism::Full;
+    const auto res = bench::runMatrix({{&p, a.options()}, {&p, full}}, 2);
+    EXPECT_EQ(res.size(), 2u);
+    EXPECT_TRUE(fs::is_empty(home)) << home << " is not empty";
+
+    if (old_xdg)
+        setenv("XDG_CACHE_HOME", saved_xdg.c_str(), 1);
+    else
+        unsetenv("XDG_CACHE_HOME");
+    if (old_home)
+        setenv("HOME", saved_home.c_str(), 1);
+    else
+        unsetenv("HOME");
+    fs::remove_all(home);
 }
 
-TEST(JobKey, TracksInPlaceModuleMutation)
+TEST(EncodeRunResult, CoversEveryCollectedSection)
 {
-    // hintm_lint --mutate flips hint bits on the same module object and
-    // reruns; the key must change with the content, not the pointer.
-    bench::PreparedWorkload p =
-        bench::prepare("kmeans", workloads::Scale::Tiny);
-    const core::SystemOptions o;
-    const bench::MatrixJob job{&p, o};
-    const std::string before = bench::matrixJobKey(job);
-
-    for (auto &fn : p.wl.module.functions) {
-        for (auto &bb : fn.blocks) {
-            for (auto &in : bb.instrs) {
-                if (in.op == tir::Opcode::Load && !in.safe) {
-                    in.safe = true;
-                    const std::string after = bench::matrixJobKey(job);
-                    EXPECT_NE(before, after);
-                    in.safe = false;
-                    EXPECT_EQ(before, bench::matrixJobKey(job));
-                    return;
-                }
-            }
-        }
-    }
-    FAIL() << "no unsafe load found to mutate";
-}
-
-TEST(ResultStore, EncodeDecodeRoundTrip)
-{
+    // The digest table and the equivalence properties compare runs by
+    // these bytes, so a change in any collected section must reach them.
     const bench::PreparedWorkload p =
         bench::prepare("kmeans", workloads::Scale::Tiny);
     core::SystemOptions opts;
@@ -231,119 +198,28 @@ TEST(ResultStore, EncodeDecodeRoundTrip)
     opts.collectRawStats = true;
     opts.profileSharing = true;
     const sim::RunResult r = bench::run(p, opts);
+    const std::string bytes = bench::encodeRunResult(r);
+    EXPECT_EQ(bench::encodeRunResult(r), bytes);
+    ASSERT_FALSE(r.rawStats.empty());
+    ASSERT_FALSE(r.finalGlobals.empty());
+    ASSERT_GT(r.txSizeAll.count(), 0u);
+    ASSERT_GT(r.blockSharing.totalRegions, 0u);
 
-    const std::string payload = bench::encodeRunResult(r);
-    sim::RunResult out;
-    ASSERT_TRUE(bench::decodeRunResult(payload, out));
-    EXPECT_EQ(out.cycles, r.cycles);
-    EXPECT_EQ(out.committedTxs, r.committedTxs);
-    EXPECT_EQ(out.rawStats, r.rawStats);
-    EXPECT_EQ(bench::encodeRunResult(out), payload);
-
-    // Truncations and trailing garbage are rejected, never misread.
-    for (const std::size_t cut : {std::size_t(0), payload.size() / 2,
-                                  payload.size() - 1}) {
-        sim::RunResult bad;
-        EXPECT_FALSE(
-            bench::decodeRunResult(payload.substr(0, cut), bad));
+    const std::vector<void (*)(sim::RunResult &)> edits = {
+        [](sim::RunResult &x) { ++x.cycles; },
+        [](sim::RunResult &x) { ++x.htm.aborts[0]; },
+        [](sim::RunResult &x) { ++x.txReadsDynSafe; },
+        [](sim::RunResult &x) { x.txSizeAll.sample(1); },
+        [](sim::RunResult &x) { ++x.blockSharing.txReads; },
+        [](sim::RunResult &x) { ++x.pageSharing.safeRegions; },
+        [](sim::RunResult &x) { x.finalGlobals.begin()->second.push_back(0); },
+        [](sim::RunResult &x) { x.rawStats += ' '; },
+        [](sim::RunResult &x) { x.oracleWitnesses.push_back("w"); },
+        [](sim::RunResult &x) { ++x.oracleSafeSkips; },
+    };
+    for (std::size_t i = 0; i < edits.size(); ++i) {
+        sim::RunResult e = r;
+        edits[i](e);
+        EXPECT_NE(bench::encodeRunResult(e), bytes) << "edit " << i;
     }
-    sim::RunResult bad;
-    EXPECT_FALSE(bench::decodeRunResult(payload + "x", bad));
-}
-
-TEST(ResultStore, LoadSurvivesCorruptionAndVersionSkew)
-{
-    const bench::PreparedWorkload p =
-        bench::prepare("kmeans", workloads::Scale::Tiny);
-    const sim::RunResult r = bench::run(p, {});
-    const std::string dir = makeTempDir();
-
-    const bench::ResultStore store(dir, 0x1234);
-    sim::RunResult out;
-    EXPECT_FALSE(store.load("some-key", out)); // absent = miss
-
-    store.store("some-key", r);
-    ASSERT_TRUE(store.load("some-key", out));
-    EXPECT_EQ(bench::encodeRunResult(out), bench::encodeRunResult(r));
-    EXPECT_FALSE(store.load("other-key", out));
-
-    // A rebuilt binary (different content hash) must not see entries.
-    const bench::ResultStore rebuilt(dir, 0x9999);
-    EXPECT_FALSE(rebuilt.load("some-key", out));
-
-    // Flip one payload byte: the checksum rejects the entry.
-    const std::string path = onlyEntry(dir);
-    ASSERT_FALSE(path.empty());
-    std::string bytes;
-    {
-        std::ifstream is(path, std::ios::binary);
-        std::ostringstream ss;
-        ss << is.rdbuf();
-        bytes = ss.str();
-    }
-    std::string flipped = bytes;
-    flipped[flipped.size() - 12] ^= 0x40;
-    std::ofstream(path, std::ios::binary) << flipped;
-    EXPECT_FALSE(store.load("some-key", out));
-
-    // Truncation reads as a miss too.
-    std::ofstream(path, std::ios::binary)
-        << bytes.substr(0, bytes.size() / 2);
-    EXPECT_FALSE(store.load("some-key", out));
-
-    // Restore the pristine entry, then --cache-clear semantics.
-    std::ofstream(path, std::ios::binary) << bytes;
-    ASSERT_TRUE(store.load("some-key", out));
-    bench::ResultStore::clearDir(dir);
-    EXPECT_FALSE(store.load("some-key", out));
-
-    std::filesystem::remove_all(dir);
-}
-
-TEST(ResultStore, RunMatrixServesSecondRunFromDisk)
-{
-    const bench::PreparedWorkload p =
-        bench::prepare("kmeans", workloads::Scale::Tiny);
-    core::SystemOptions a, b;
-    a.htmKind = htm::HtmKind::P8;
-    b.htmKind = htm::HtmKind::P8S;
-    const std::string dir = makeTempDir();
-
-    bench::setDiskResultCache(dir, true);
-    bench::clearMatrixCache();
-    const auto first = bench::runMatrix({{&p, a}, {&p, b}}, 2);
-    auto st = bench::matrixCacheStats();
-    EXPECT_EQ(st.misses, 2u);
-    EXPECT_EQ(st.diskHits, 0u);
-    EXPECT_EQ(st.diskStores, 2u);
-
-    // Drop the in-memory cache (a "new process"): disk serves both.
-    bench::clearMatrixCache();
-    const auto second = bench::runMatrix({{&p, a}, {&p, b}}, 2);
-    st = bench::matrixCacheStats();
-    EXPECT_EQ(st.misses, 0u);
-    EXPECT_EQ(st.diskHits, 2u);
-    EXPECT_EQ(st.diskStores, 0u);
-    for (std::size_t i = 0; i < first.size(); ++i) {
-        EXPECT_EQ(bench::encodeRunResult(second[i]),
-                  bench::encodeRunResult(first[i]));
-    }
-
-    // Journal-carrying jobs never touch the store.
-    core::SystemOptions j = a;
-    j.journal = true;
-    bench::clearMatrixCache();
-    (void)bench::runMatrix({{&p, j}}, 1);
-    st = bench::matrixCacheStats();
-    EXPECT_EQ(st.misses, 1u);
-    EXPECT_EQ(st.diskStores, 0u);
-    bench::clearMatrixCache();
-    (void)bench::runMatrix({{&p, j}}, 1);
-    st = bench::matrixCacheStats();
-    EXPECT_EQ(st.misses, 1u);
-    EXPECT_EQ(st.diskHits, 0u);
-
-    bench::setDiskResultCache("", false);
-    bench::clearMatrixCache();
-    std::filesystem::remove_all(dir);
 }

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the host-side parallel runner: the thread pool itself,
- * parallelFor, and the determinism / caching guarantees of
- * bench::runMatrix (results must be bit-identical regardless of how
- * many host threads execute the matrix).
+ * parallelFor, and the determinism guarantees of bench::runMatrix
+ * (results must be bit-identical regardless of how many host threads
+ * execute the matrix).
  */
 
 #include <atomic>
@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "../bench/bench_util.hh"
+#include "../bench/result_store.hh"
 #include "common/parallel.hh"
 
 using namespace hintm;
@@ -119,9 +120,7 @@ TEST(RunMatrix, DeterministicAcrossHostJobCounts)
         bench::prepare("kmeans", workloads::Scale::Tiny);
     const std::vector<bench::MatrixJob> jobs = sampleJobs(p);
 
-    bench::clearMatrixCache();
     const auto seq = bench::runMatrix(jobs, 1);
-    bench::clearMatrixCache(); // don't let jobs=8 trivially hit cache
     const auto par = bench::runMatrix(jobs, 8);
 
     ASSERT_EQ(seq.size(), jobs.size());
@@ -135,7 +134,6 @@ TEST(RunMatrix, DeterministicAcrossHostJobCounts)
         EXPECT_EQ(seq[i].htm.totalAborts(), par[i].htm.totalAborts())
             << "job " << i;
     }
-    bench::clearMatrixCache();
 }
 
 TEST(RunMatrix, ResultsArriveInSubmissionOrder)
@@ -144,7 +142,6 @@ TEST(RunMatrix, ResultsArriveInSubmissionOrder)
         bench::prepare("kmeans", workloads::Scale::Tiny);
     std::vector<bench::MatrixJob> jobs = sampleJobs(p);
 
-    bench::clearMatrixCache();
     const auto res = bench::runMatrix(jobs, 4);
     // Re-run each job individually and check slot alignment.
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -152,45 +149,30 @@ TEST(RunMatrix, ResultsArriveInSubmissionOrder)
         EXPECT_EQ(res[i].cycles, direct.cycles) << "job " << i;
         EXPECT_EQ(res[i].htm.commits, direct.htm.commits) << "job " << i;
     }
-    bench::clearMatrixCache();
 }
 
-TEST(RunMatrix, CacheDedupsWithinAndAcrossCalls)
+TEST(RunMatrix, IdenticalJobsSimulateIndependently)
 {
     const bench::PreparedWorkload p =
         bench::prepare("kmeans", workloads::Scale::Tiny);
     core::SystemOptions o;
     o.htmKind = htm::HtmKind::P8;
+    o.journal = true;
 
-    bench::clearMatrixCache();
-    // Three identical jobs in one matrix: one miss, two in-call dedups
-    // (never scheduled, distinct from cross-call cache hits).
+    // Three identical jobs in one call: each is its own simulation (its
+    // own journal, not a shared copy), and all three agree byte for byte.
     const auto res = bench::runMatrix({{&p, o}, {&p, o}, {&p, o}}, 2);
-    auto st = bench::matrixCacheStats();
-    EXPECT_EQ(st.misses, 1u);
-    EXPECT_EQ(st.deduped, 2u);
-    EXPECT_EQ(st.hits, 0u);
-    EXPECT_EQ(res[0].cycles, res[1].cycles);
-    EXPECT_EQ(res[0].cycles, res[2].cycles);
-
-    // Same job again in a new call: served from the cross-call cache.
-    const auto res2 = bench::runMatrix({{&p, o}}, 2);
-    st = bench::matrixCacheStats();
-    EXPECT_EQ(st.misses, 1u);
-    EXPECT_EQ(st.deduped, 2u);
-    EXPECT_EQ(st.hits, 1u);
-    EXPECT_EQ(res2[0].cycles, res[0].cycles);
-
-    // A different config is a fresh miss.
-    core::SystemOptions full = o;
-    full.mechanism = core::Mechanism::Full;
-    (void)bench::runMatrix({{&p, full}}, 2);
-    st = bench::matrixCacheStats();
-    EXPECT_EQ(st.misses, 2u);
-    bench::clearMatrixCache();
+    ASSERT_EQ(res.size(), 3u);
+    const std::string bytes = bench::encodeRunResult(res[0]);
+    for (std::size_t i = 0; i < res.size(); ++i) {
+        ASSERT_NE(res[i].journal, nullptr) << "job " << i;
+        EXPECT_EQ(bench::encodeRunResult(res[i]), bytes) << "job " << i;
+        for (std::size_t j = 0; j < i; ++j)
+            EXPECT_NE(res[i].journal, res[j].journal) << i << " vs " << j;
+    }
 }
 
-TEST(RunMatrix, ThreadsOverrideIsPartOfTheCacheKey)
+TEST(RunMatrix, ThreadsOverrideBuildsItsOwnModule)
 {
     // A thread-count override builds "kmeans@2", a module of its own.
     const bench::PreparedWorkload p =
@@ -202,10 +184,6 @@ TEST(RunMatrix, ThreadsOverrideIsPartOfTheCacheKey)
     core::SystemOptions o;
     o.htmKind = htm::HtmKind::P8;
 
-    bench::clearMatrixCache();
     const auto res = bench::runMatrix({{&p, o}, {&p2, o}}, 2);
-    const auto st = bench::matrixCacheStats();
-    EXPECT_EQ(st.misses, 2u); // different thread counts: both simulate
     EXPECT_NE(res[0].cycles, res[1].cycles);
-    bench::clearMatrixCache();
 }

@@ -28,7 +28,6 @@
 #include "common/logging.hh"
 #include "compiler/race_lint.hh"
 #include "core/hintm.hh"
-#include "result_store.hh"
 #include "workloads/workloads.hh"
 
 using namespace hintm;
@@ -49,11 +48,6 @@ usage(int code)
         "                      side catches it (does not affect exit "
         "code)\n"
         "  --seed N            seed for --mutate bit selection\n"
-        "  --jobs N            host threads for the oracle runs\n"
-        "  --cache-dir DIR     persistent result-cache location "
-        "(default ~/.cache/hintm)\n"
-        "  --no-disk-cache     run without the persistent result cache\n"
-        "  --cache-clear       wipe the cache directory before running\n"
         "  --list              list workloads and exit\n");
     std::exit(code);
 }
@@ -90,13 +84,10 @@ struct LintOutcome
 
 LintOutcome
 lintWorkload(const std::string &name, workloads::Scale scale,
-             bool run_oracle, unsigned host_jobs)
+             bool run_oracle)
 {
     LintOutcome out;
-    bench::PreparedWorkload p;
-    p.wl = workloads::byName(name, scale);
-    p.compileReport = core::compileHints(p.wl.module);
-    p.scale = scale;
+    const bench::PreparedWorkload p = bench::prepare(name, scale);
 
     const compiler::LintReport lint = compiler::lintRaces(p.wl.module);
     out.staticDiags = unsigned(lint.diagnostics.size());
@@ -109,8 +100,7 @@ lintWorkload(const std::string &name, workloads::Scale scale,
         core::SystemOptions opts;
         opts.mechanism = core::Mechanism::Full;
         opts.hintOracle = true;
-        const std::vector<bench::MatrixJob> jobs = {{&p, opts}};
-        const sim::RunResult r = bench::runMatrix(jobs, host_jobs)[0];
+        const sim::RunResult r = bench::run(p, opts);
         out.oracleWitnesses = unsigned(r.oracleWitnesses.size());
         std::printf("%-10s oracle : %zu witness(es), %llu safe accesses "
                     "checked, %llu conflict-tracking skips\n",
@@ -125,13 +115,9 @@ lintWorkload(const std::string &name, workloads::Scale scale,
 
 void
 mutateWorkload(const std::string &name, workloads::Scale scale,
-               std::uint64_t seed, unsigned host_jobs, unsigned &caught,
-               unsigned &total)
+               std::uint64_t seed, unsigned &caught, unsigned &total)
 {
-    bench::PreparedWorkload p;
-    p.wl = workloads::byName(name, scale);
-    p.compileReport = core::compileHints(p.wl.module);
-    p.scale = scale;
+    bench::PreparedWorkload p = bench::prepare(name, scale);
 
     const std::vector<FlipSite> sites = unsafeAccesses(p.wl.module);
     if (sites.empty())
@@ -155,8 +141,7 @@ mutateWorkload(const std::string &name, workloads::Scale scale,
     core::SystemOptions opts;
     opts.mechanism = core::Mechanism::Full;
     opts.hintOracle = true;
-    const std::vector<bench::MatrixJob> jobs = {{&p, opts}};
-    const sim::RunResult r = bench::runMatrix(jobs, host_jobs)[0];
+    const sim::RunResult r = bench::run(p, opts);
     const bool hit_oracle = !r.oracleWitnesses.empty();
 
     const char *verdict = hit_static && hit_oracle ? "both"
@@ -181,9 +166,6 @@ run(int argc, char **argv)
     bool static_only = false;
     bool mutate = false;
     std::uint64_t seed = 1;
-    unsigned host_jobs = 0;
-    std::string cacheDir;
-    bool noDiskCache = false, cacheClear = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
@@ -205,14 +187,6 @@ run(int argc, char **argv)
             mutate = true;
         } else if (a == "--seed") {
             seed = parseFlag(a, next());
-        } else if (a == "--jobs") {
-            host_jobs = parseFlag<unsigned>(a, next());
-        } else if (a == "--cache-dir") {
-            cacheDir = next();
-        } else if (a == "--no-disk-cache") {
-            noDiskCache = true;
-        } else if (a == "--cache-clear") {
-            cacheClear = true;
         } else if (a == "--list") {
             for (const auto &n : workloads::allNames())
                 std::printf("%s\n", n.c_str());
@@ -225,12 +199,6 @@ run(int argc, char **argv)
         }
     }
 
-    const std::string cache_dir =
-        cacheDir.empty() ? bench::ResultStore::defaultDir() : cacheDir;
-    if (cacheClear)
-        bench::ResultStore::clearDir(cache_dir);
-    bench::setDiskResultCache(cache_dir, !noDiskCache);
-
     std::vector<std::string> names;
     if (!workload.empty())
         names.push_back(workload);
@@ -240,7 +208,7 @@ run(int argc, char **argv)
     if (mutate) {
         unsigned caught = 0, total = 0;
         for (const auto &n : names)
-            mutateWorkload(n, scale, seed, host_jobs, caught, total);
+            mutateWorkload(n, scale, seed, caught, total);
         std::printf("\nmutation: %u/%u corrupted hints caught\n", caught,
                     total);
         return 0;
@@ -248,7 +216,7 @@ run(int argc, char **argv)
 
     unsigned diags = 0, witnesses = 0;
     for (const auto &n : names) {
-        const LintOutcome o = lintWorkload(n, scale, !static_only, host_jobs);
+        const LintOutcome o = lintWorkload(n, scale, !static_only);
         diags += o.staticDiags;
         witnesses += o.oracleWitnesses;
     }

@@ -21,7 +21,6 @@
 #include "common/logging.hh"
 #include "common/trace.hh"
 #include "core/hintm.hh"
-#include "result_store.hh"
 #include "sim/journal_io.hh"
 #include "workloads/workloads.hh"
 
@@ -58,9 +57,6 @@ usage(int code)
         "  --validate          check safe-store initializing property\n"
         "  --profile           collect Fig.1-style sharing metrics\n"
         "  --cdf               collect TX footprint CDFs\n"
-        "  --jobs N            host threads for the runner (default "
-        "hardware concurrency)\n"
-        "  --json FILE         write a per-run perf record to FILE\n"
         "  --stats             dump raw memory/VM statistics\n"
         "  --lint              run the static race-lint pass after hint\n"
         "                      compilation; abort on any diagnostic\n"
@@ -81,10 +77,6 @@ usage(int code)
         "nodes (default 1 = flat)\n"
         "  --numa-latency N    extra cycles for a remote-home bus "
         "transaction (default 24)\n"
-        "  --cache-dir DIR     persistent result-cache location "
-        "(default ~/.cache/hintm)\n"
-        "  --no-disk-cache     run without the persistent result cache\n"
-        "  --cache-clear       wipe the cache directory before running\n"
         "  --trace CATS        trace categories (tx,vm,sched,journal|all)\n"
         "  --list              list workloads and exit\n");
     std::exit(code);
@@ -100,11 +92,8 @@ run(int argc, char **argv)
     core::SystemOptions opts;
     opts.mechanism = core::Mechanism::Full;
     unsigned threads = 0; // 0 = the workload's own thread count
-    unsigned host_jobs = 0;
     bool profile = false, cdf = false, stats = false;
     std::string perfettoPath, statsJsonPath;
-    std::string cacheDir;
-    bool noDiskCache = false, cacheClear = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
@@ -170,10 +159,6 @@ run(int argc, char **argv)
             profile = true;
         } else if (a == "--cdf") {
             cdf = true;
-        } else if (a == "--jobs") {
-            host_jobs = parseFlag<unsigned>(a, next());
-        } else if (a == "--json") {
-            bench::setJsonReport(next());
         } else if (a == "--stats") {
             stats = true;
         } else if (a == "--lint") {
@@ -200,12 +185,6 @@ run(int argc, char **argv)
             opts.numaNodes = parseFlag<unsigned>(a, next());
         } else if (a == "--numa-latency") {
             opts.numaRemoteLatency = parseFlag<Cycle>(a, next());
-        } else if (a == "--cache-dir") {
-            cacheDir = next();
-        } else if (a == "--no-disk-cache") {
-            noDiskCache = true;
-        } else if (a == "--cache-clear") {
-            cacheClear = true;
         } else if (a == "--trace") {
             trace::enableFromSpec(next());
         } else if (a == "--list") {
@@ -222,12 +201,6 @@ run(int argc, char **argv)
     if (workload.empty())
         usage(1);
 
-    const std::string cache_dir =
-        cacheDir.empty() ? bench::ResultStore::defaultDir() : cacheDir;
-    if (cacheClear)
-        bench::ResultStore::clearDir(cache_dir);
-    bench::setDiskResultCache(cache_dir, !noDiskCache);
-
     opts.profileSharing = profile;
     opts.collectTxSizes = cdf;
     opts.collectRawStats = stats;
@@ -242,8 +215,7 @@ run(int argc, char **argv)
                 opts.bufferEntries);
     std::printf("compiler   : %s\n\n", p.compileReport.summary().c_str());
 
-    const std::vector<bench::MatrixJob> jobs = {{&p, opts}};
-    const sim::RunResult r = bench::runMatrix(jobs, host_jobs)[0];
+    const sim::RunResult r = bench::run(p, opts);
 
     std::printf("cycles            : %llu\n",
                 (unsigned long long)r.cycles);
