@@ -242,6 +242,9 @@ runMatrix(const std::vector<MatrixJob> &jobs, unsigned host_jobs)
     unsigned max_sim_threads = 1;
     for (const MatrixJob &j : jobs) {
         HINTM_ASSERT(j.wl != nullptr, "matrix job without a workload");
+        // Once here, not once per worker: one fatal: line.
+        sim::checkThreadCount(core::makeMachineConfig(j.opts),
+                              j.wl->wl.threads);
         max_sim_threads = std::max(max_sim_threads, j.wl->wl.threads);
     }
     std::vector<sim::RunResult> results(jobs.size());

@@ -1,8 +1,7 @@
 /**
  * @file
  * Capacity-pressure metrics: typed counters, log2-bucket histograms and
- * an adaptive windowed time series, folded into a copyable registry
- * that rides through sim::MachineSnapshot by value.
+ * an adaptive windowed time series, folded into one per-run registry.
  *
  * Like the TX journal, the metrics layer is strictly observational: the
  * simulation never reads any of it, so results are bit-identical with
@@ -210,9 +209,7 @@ class EpochAddrSet
 
 /**
  * Per-context scratch state for the transaction currently being
- * measured. Lives in the observers' per-context state (and so in every
- * snapshot) so a mid-TX snapshot/restore resumes the measurement
- * exactly.
+ * measured. Lives in the observers' per-context state.
  */
 struct TxMetricsCtx
 {
@@ -245,10 +242,7 @@ struct TxMetricsCtx
     std::int32_t instr = -1;
 };
 
-/**
- * The per-run metrics registry. Copyable by design: snapshots carry it
- * by value, exactly like the journal.
- */
+/** The per-run metrics registry. */
 class MetricsRegistry
 {
   public:
@@ -421,8 +415,7 @@ class MetricsRegistry
     Log2Hist growthWrite[numMilestones];
     /** Peer-sharer count, sampled at every sharerSampleEvery-th bus
      * transaction (probing every peer L1 per transaction is too hot
-     * for a full census; the decimation counter lives here so the
-     * sampling phase survives snapshot/restore). */
+     * for a full census). */
     Log2Hist sharersAtBus;
     static constexpr std::uint64_t sharerSampleEvery = 16;
     std::uint64_t busEvents = 0;

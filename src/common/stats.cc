@@ -90,34 +90,6 @@ StatGroup::distribution(const std::string &name, std::uint64_t bucket_width,
     return it->second;
 }
 
-StatGroup::Values
-StatGroup::values() const
-{
-    Values v;
-    v.counters = counters_;
-    for (const auto &kv : distributions_)
-        v.distributions.emplace(kv.first, kv.second.image());
-    return v;
-}
-
-void
-StatGroup::setValues(const Values &v)
-{
-    for (const auto &kv : v.counters) {
-        const auto it = counters_.find(kv.first);
-        HINTM_ASSERT(it != counters_.end(), "setValues: unknown counter ",
-                     name_, ".", kv.first);
-        it->second = kv.second;
-    }
-    for (const auto &kv : v.distributions) {
-        const auto it = distributions_.find(kv.first);
-        HINTM_ASSERT(it != distributions_.end(),
-                     "setValues: unknown distribution ", name_, ".",
-                     kv.first);
-        it->second.setImage(kv.second);
-    }
-}
-
 void
 StatGroup::addChild(StatGroup *child)
 {

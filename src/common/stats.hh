@@ -70,8 +70,7 @@ class Distribution
 
     /**
      * Exact internal state, including the raw min sentinel (~0 when the
-     * distribution is empty, which the min() accessor masks). Used by the
-     * machine snapshot machinery, which needs bit-identical restores.
+     * distribution is empty, which the min() accessor masks).
      */
     struct Image
     {
@@ -90,6 +89,7 @@ class Distribution
                 max_};
     }
 
+    /** Inverse of image(); perfbench merges images across runs. */
     void setImage(const Image &img)
     {
         bucketWidth_ = img.bucketWidth;
@@ -143,26 +143,6 @@ class StatGroup
     {
         return counters_;
     }
-
-    /**
-     * Value-only snapshot of this group's own statistics (children are
-     * not included; snapshot callers walk the tree themselves).
-     */
-    struct Values
-    {
-        std::map<std::string, Counter> counters;
-        std::map<std::string, Distribution::Image> distributions;
-    };
-
-    Values values() const;
-
-    /**
-     * Restore previously captured values. Every key must already be
-     * registered: values are assigned into the existing map nodes so
-     * that cached Counter/Distribution pointers held by hot paths stay
-     * valid across a restore.
-     */
-    void setValues(const Values &v);
 
   private:
     std::string name_;

@@ -47,8 +47,8 @@ rankSites(const SiteMap &sites, Ahead ahead)
 
 /**
  * The function names of one module, for rendering TX sites. Copies
- * share one immutable table, so every observer of a run (and every
- * snapshot of it) holds a pointer, not a copy.
+ * share one immutable table, so every observer of a run holds a
+ * pointer, not a copy.
  */
 class SiteNames
 {

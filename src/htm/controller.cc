@@ -409,44 +409,5 @@ HtmController::clearTxState()
     publishInterest();
 }
 
-HtmController::State
-HtmController::saveState() const
-{
-    State s;
-    s.inTx = inTx_;
-    s.abortPending = abortPending_;
-    s.capacityPending = capacityPending_;
-    s.pendingReason = pendingReason_;
-    s.txStart = txStart_;
-    s.lastAbortAddr = lastAbortAddr_;
-    s.lastAbortAddrValid = lastAbortAddrValid_;
-    s.lastAbortCtx = lastAbortCtx_;
-    s.capacityPendingBlock = capacityPendingBlock_;
-    s.buffer = buffer_;
-    s.overflowReads = overflowReads_;
-    s.signature = signature_;
-    s.safePages = safePages_;
-    return s;
-}
-
-void
-HtmController::loadState(const State &s)
-{
-    inTx_ = s.inTx;
-    abortPending_ = s.abortPending;
-    capacityPending_ = s.capacityPending;
-    pendingReason_ = s.pendingReason;
-    txStart_ = s.txStart;
-    lastAbortAddr_ = s.lastAbortAddr;
-    lastAbortAddrValid_ = s.lastAbortAddrValid;
-    lastAbortCtx_ = s.lastAbortCtx;
-    capacityPendingBlock_ = s.capacityPendingBlock;
-    buffer_ = s.buffer;
-    overflowReads_ = s.overflowReads;
-    signature_ = s.signature;
-    safePages_ = s.safePages;
-    publishInterest();
-}
-
 } // namespace htm
 } // namespace hintm

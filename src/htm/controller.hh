@@ -277,34 +277,6 @@ class HtmController : public mem::SnoopListener
 
     const HtmConfig &config() const { return cfg_; }
 
-    /**
-     * Complete per-controller transactional state. System-wide HtmStats
-     * live in RunResult and are captured by the machine snapshot, not
-     * here; hooks and the oracle attachment are identity, not state.
-     */
-    struct State
-    {
-        bool inTx = false;
-        bool abortPending = false;
-        bool capacityPending = false;
-        AbortReason pendingReason = AbortReason::None;
-        Cycle txStart = 0;
-        Addr lastAbortAddr = 0;
-        bool lastAbortAddrValid = false;
-        std::int32_t lastAbortCtx = -1;
-        Addr capacityPendingBlock = 0;
-        TxBuffer buffer{0};
-        AddrSet overflowReads;
-        Signature signature;
-        AddrSet safePages;
-    };
-
-    State saveState() const;
-
-    /** Restore state and re-publish listener interest (the memory
-     * system's interest mask is rebuilt from the controllers). */
-    void loadState(const State &s);
-
   private:
     void triggerAbort(AbortReason r)
     {

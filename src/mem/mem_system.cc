@@ -419,32 +419,5 @@ MemorySystem::access(ContextId ctx, Addr addr, AccessType type)
     return res;
 }
 
-MemorySystem::State
-MemorySystem::saveState() const
-{
-    State s;
-    s.arrays.reserve(l1s_.size() + 1);
-    for (const auto &l1 : l1s_)
-        s.arrays.push_back(*l1);
-    s.arrays.push_back(*l2_);
-    s.dirOn = dirOn_;
-    s.dir = dir_;
-    s.stats = stats_.values();
-    return s;
-}
-
-void
-MemorySystem::loadState(const State &s)
-{
-    HINTM_ASSERT(s.arrays.size() == l1s_.size() + 1,
-                 "memory state cache-count mismatch");
-    for (std::size_t i = 0; i < l1s_.size(); ++i)
-        *l1s_[i] = s.arrays[i];
-    *l2_ = s.arrays.back();
-    dirOn_ = s.dirOn;
-    dir_ = s.dir;
-    stats_.setValues(s.stats);
-}
-
 } // namespace mem
 } // namespace hintm

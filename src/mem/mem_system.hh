@@ -231,23 +231,6 @@ class MemorySystem
     stats::StatGroup &statGroup() { return stats_; }
     const MemConfig &config() const { return cfg_; }
 
-    /**
-     * Cache arrays (L1s in id order, then the L2), directory contents
-     * (sharer/owner/tracker masks + the sig-active mask) and stat
-     * values. The listener-interest mask is not captured: HTM
-     * controllers re-publish their interest when they are restored.
-     */
-    struct State
-    {
-        std::vector<CacheArray> arrays;
-        bool dirOn = true;
-        Directory dir;
-        stats::StatGroup::Values stats;
-    };
-
-    State saveState() const;
-    void loadState(const State &s);
-
   private:
     struct Context
     {

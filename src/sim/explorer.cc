@@ -1,53 +1,16 @@
 #include "explorer.hh"
 
-#include <atomic>
+#include <algorithm>
 #include <limits>
-#include <memory>
 #include <utility>
 
 #include "common/logging.hh"
-#include "common/parallel.hh"
 #include "sim/schedule.hh"
-#include "sim/snapshot.hh"
 
 namespace hintm
 {
 namespace sim
 {
-
-namespace
-{
-
-/** One schedule to run: a plan plus, in fork mode, the snapshot of the
- * machine at the newly-preempted decision point. */
-struct Branch
-{
-    std::vector<std::uint32_t> plan;
-    /** Divergence-point state (null = replay the plan from scratch). */
-    std::shared_ptr<const MachineSnapshot> snap;
-    /** Context the plan's last entry preempts (fork mode re-applies it
-     * after restore, exactly as a replay would at that decision). */
-    unsigned preemptCtx = 0;
-    /** Decision index of the plan's last entry. */
-    std::uint32_t branchIndex = 0;
-};
-
-/** Per-host-thread exploration state: the controller baked into the
- * machine config and the (reusable) machine behind it. */
-struct Worker
-{
-    explicit Worker(const MachineConfig &base)
-        : cfg(base)
-    {
-        cfg.scheduleController = &ctrl;
-    }
-
-    MachineConfig cfg;
-    PlanScheduleController ctrl;
-    std::unique_ptr<SimRun> run;
-};
-
-} // namespace
 
 ExploreReport
 exploreSchedules(const MachineConfig &cfg0, const tir::Module &module,
@@ -55,130 +18,70 @@ exploreSchedules(const MachineConfig &cfg0, const tir::Module &module,
 {
     HINTM_ASSERT(!cfg0.scheduleController,
                  "explorer installs its own schedule controller");
-    MachineConfig base = cfg0;
-    base.journal = true; // trace_check reconciles journal totals
-    // The oracle's shadow state is outside the snapshot scope, so
-    // oracle configs replay every branch from scratch instead of
-    // forking at the divergence point.
-    const bool can_fork = !base.hintOracle;
+    PlanScheduleController ctrl;
+    MachineConfig cfg = cfg0;
+    cfg.journal = true; // trace_check reconciles journal totals
+    cfg.scheduleController = &ctrl;
 
     ExploreReport rep;
     TraceCheckOptions chk;
     chk.livelockThreshold = opt.livelockThreshold;
-
-    std::atomic<std::uint64_t> scheduled{0};
     const std::uint64_t max_schedules =
         opt.maxSchedules ? opt.maxSchedules
                          : std::numeric_limits<std::uint64_t>::max();
 
-    // Run one schedule on @p w, collecting child branches (plans that
-    // extend b.plan with one later preemption) and issues into the
-    // caller's accumulators. Branch candidates only extend to the
-    // right of the last preemption — the canonical iterative-
-    // context-bounding enumeration, which visits every plan once.
-    const auto run_one = [&](Worker &w, const Branch &b,
-                             std::vector<Branch> &children,
-                             ExploreReport &local,
-                             std::vector<ExploreIssue> &issues,
-                             const TraceCheckOptions &check_opt) {
-        const bool branchable = b.plan.size() < opt.preemptionBound;
-        const std::uint32_t after =
-            b.plan.empty() ? 0 : b.plan.back() + 1;
-        w.ctrl.hook = [&](const SchedDecision &d, std::uint32_t idx) {
+    // Replay @p plan in a fresh machine, pushing its child plans (the
+    // plan plus one later preemption) onto @p children and its issues
+    // onto the report. Children only extend to the right of the last
+    // preemption — the canonical iterative-context-bounding
+    // enumeration, which visits every plan once.
+    using Plan = std::vector<std::uint32_t>;
+    const auto run_one = [&](const Plan &plan, std::vector<Plan> &children) {
+        const bool branchable = plan.size() < opt.preemptionBound;
+        const std::uint32_t after = plan.empty() ? 0 : plan.back() + 1;
+        ctrl.hook = [&](const SchedDecision &d, std::uint32_t idx) {
             if (!branchable || idx < after)
                 return;
             if (idx >= opt.maxBranchPoints) {
-                ++local.branchesCapped;
+                ++rep.branchesCapped;
                 return;
             }
-            ++local.branchPoints;
+            ++rep.branchPoints;
             if (opt.dpor && !d.dependent) {
-                ++local.branchesPruned;
+                ++rep.branchesPruned;
                 return;
             }
-            Branch c;
-            c.plan = b.plan;
-            c.plan.push_back(idx);
-            c.preemptCtx = d.ctx;
-            c.branchIndex = idx;
-            if (can_fork)
-                c.snap = std::make_shared<MachineSnapshot>(
-                    w.run->snapshot());
+            Plan c = plan;
+            c.push_back(idx);
             children.push_back(std::move(c));
         };
-        if (b.snap) {
-            // Fork: resume from the divergence point and apply the
-            // new preemption — bit-identical to replaying the full
-            // plan from scratch (property-locked). A fresh worker
-            // builds its machine once; every later fork reuses it.
-            if (!w.run)
-                w.run = std::make_unique<SimRun>(w.cfg, module,
-                                                 num_threads);
-            w.ctrl.reset(b.plan, b.branchIndex + 1);
-            w.run->restore(*b.snap);
-            w.run->preemptContext(b.preemptCtx);
-            ++local.snapshotForks;
-        } else {
-            w.run = std::make_unique<SimRun>(w.cfg, module, num_threads);
-            w.ctrl.reset(b.plan, 0);
-            if (!b.plan.empty())
-                ++local.scratchReplays;
-        }
-        const RunResult r = w.run->finish();
-        w.ctrl.hook = nullptr;
-        ++local.schedulesRun;
-        for (TraceViolation &v : checkTrace(base, r, check_opt))
-            issues.push_back(
-                {std::move(v), b.plan, w.ctrl.nextIndex()});
+        ctrl.reset(plan);
+        RunResult r = runMachine(cfg, module, num_threads);
+        ctrl.hook = nullptr;
+        ++rep.schedulesRun;
+        for (TraceViolation &v : checkTrace(cfg, r, chk))
+            rep.issues.push_back({std::move(v), plan, ctrl.nextIndex()});
         return r;
     };
 
     // Base trace: the reference interleaving (no preemptions). Its
     // final globals become the determinism reference for every branch.
-    Worker base_worker(base);
-    std::vector<Branch> top;
-    std::vector<ExploreIssue> base_issues;
-    ++scheduled;
-    const RunResult base_result = run_one(
-        base_worker, Branch{}, top, rep, base_issues, chk);
-    rep.issues = std::move(base_issues);
+    std::vector<Plan> stack;
+    const RunResult base = run_one({}, stack);
     if (opt.compareFinalState)
-        chk.referenceGlobals = &base_result.finalGlobals;
+        chk.referenceGlobals = &base.finalGlobals;
 
-    // Fan the top-level subtrees out over host threads (each subtree
-    // explores its grandchildren depth-first on its own worker), then
-    // merge in branch order so reports stay deterministic.
-    std::vector<ExploreReport> sub_reports(top.size());
-    std::vector<std::vector<ExploreIssue>> sub_issues(top.size());
-    parallelFor(opt.jobs, top.size(), [&](std::size_t i) {
-        Worker w(base);
-        ExploreReport &local = sub_reports[i];
-        std::vector<ExploreIssue> &issues = sub_issues[i];
-        std::vector<Branch> stack;
-        stack.push_back(std::move(top[i]));
-        while (!stack.empty()) {
-            if (scheduled.fetch_add(1) >= max_schedules) {
-                local.branchesCapped += stack.size();
-                break;
-            }
-            const Branch b = std::move(stack.back());
-            stack.pop_back();
-            std::vector<Branch> children;
-            run_one(w, b, children, local, issues, chk);
-            for (Branch &c : children)
-                stack.push_back(std::move(c));
+    // Depth first: the top-level branches in decision order (hence the
+    // reversal), each subtree latest child first.
+    std::reverse(stack.begin(), stack.end());
+    while (!stack.empty()) {
+        if (rep.schedulesRun >= max_schedules) {
+            rep.branchesCapped += stack.size();
+            break;
         }
-    });
-    for (std::size_t i = 0; i < top.size(); ++i) {
-        const ExploreReport &l = sub_reports[i];
-        rep.schedulesRun += l.schedulesRun;
-        rep.branchPoints += l.branchPoints;
-        rep.branchesPruned += l.branchesPruned;
-        rep.branchesCapped += l.branchesCapped;
-        rep.snapshotForks += l.snapshotForks;
-        rep.scratchReplays += l.scratchReplays;
-        for (ExploreIssue &is : sub_issues[i])
-            rep.issues.push_back(std::move(is));
+        const Plan plan = std::move(stack.back());
+        stack.pop_back();
+        run_one(plan, stack);
     }
     return rep;
 }

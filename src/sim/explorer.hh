@@ -7,10 +7,9 @@
  * PlanScheduleController, then branches: every decision point (TX
  * begin/commit/abort, lock acquire/release, barrier) whose preemption
  * could matter spawns a child schedule that preempts there, up to
- * `preemptionBound` preemptions per schedule. Branches resume from a
- * MachineSnapshot captured at the divergence point (fork mode) instead
- * of re-running the prefix; hint-oracle configs, whose shadow state is
- * outside the snapshot scope, replay each plan from scratch instead.
+ * `preemptionBound` preemptions per schedule. Every branch replays its
+ * plan in a fresh machine, depth first, on one host thread, so a
+ * binding `maxSchedules` cut is deterministic.
  *
  * A sleep-set/DPOR-style independence filter prunes branches whose
  * event context provably cannot interact with any peer (disjoint
@@ -59,9 +58,6 @@ struct ExploreOptions
      * Disable for workloads whose final memory legitimately depends on
      * the schedule (e.g. guarded-read scaffolds). */
     bool compareFinalState = true;
-    /** Host threads fanning out over top-level branches (runMatrix
-     * style); 1 = sequential. */
-    unsigned jobs = 1;
 };
 
 /** One invariant violation (or warning) with its reproduction recipe. */
@@ -83,10 +79,6 @@ struct ExploreReport
     std::uint64_t branchesPruned = 0;
     /** Candidates dropped by maxSchedules / maxBranchPoints caps. */
     std::uint64_t branchesCapped = 0;
-    /** Branches resumed from a divergence-point snapshot. */
-    std::uint64_t snapshotForks = 0;
-    /** Branches replayed from scratch (hint-oracle configs). */
-    std::uint64_t scratchReplays = 0;
     /** Violations and warnings, deduplicated by (kind, plan). */
     std::vector<ExploreIssue> issues;
 

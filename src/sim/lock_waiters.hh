@@ -24,8 +24,7 @@
  * A waiter's exact readyAt is its group's cycle; the machine's own copy
  * is stale until the waiter is unparked (lock release, or the loop
  * handing the machine back). The structure is transient: it is empty
- * whenever the machine is not inside its indexed run loop, so snapshots
- * carry nothing for it.
+ * whenever the machine is not inside its indexed run loop.
  */
 
 #ifndef HINTM_SIM_LOCK_WAITERS_HH

@@ -15,7 +15,6 @@
 #include "sim/lock_waiters.hh"
 #include "sim/sched_index.hh"
 #include "sim/schedule.hh"
-#include "sim/snapshot.hh"
 #include "sim/tx_observers.hh"
 #include "tir/interp.hh"
 #include "tir/verifier.hh"
@@ -37,18 +36,22 @@ constexpr Cycle backoffCycles = 64;
 
 constexpr Cycle farFuture = std::numeric_limits<Cycle>::max();
 
-/** Per-hardware-context state. The ContextRuntime base is what a
- * snapshot copies; the rest is rebuilt or deliberately dropped. */
-struct ContextState : ContextRuntime
+/** Per-hardware-context state: scheduling, retry and fallback-lock
+ * state, plus the context's interpreter and HTM controller. */
+struct ContextState
 {
+    Cycle readyAt = 0;
+    Cycle finishedAt = 0;
+    bool done = false;
+    bool atBarrier = false;
+    unsigned retries = 0;
+    bool mustFallback = false;
+    bool inFallback = false;
     std::unique_ptr<tir::ThreadInterp> interp;
     std::unique_ptr<htm::HtmController> htm;
     /** Descheduled by the ScheduleController: off the pick set until
      * another context is preempted in its place or nothing else is
-     * runnable. Never true without a controller; deliberately outside
-     * MachineSnapshot (a forked branch re-applies its preemption after
-     * restore, which is exactly what a from-scratch replay does at the
-     * same decision, so the two stay bit-identical). */
+     * runnable. Never true without a controller. */
     bool preempted = false;
     /** Block footprints feeding the explorer's independence filter
      * (controller runs only): the in-flight hardware TX's blocks and
@@ -64,20 +67,15 @@ class Machine
             unsigned num_threads)
         : cfg_(cfg),
           prog_(module, num_threads, cfg.seed, cfg.decodeCache),
-          moduleTag_(&module),
           mem_(std::make_unique<mem::MemorySystem>(cfg.mem, cfg.numCores)),
           vm_(std::make_unique<vm::Vm>(cfg.vm)),
           observers_(cfg, module, *mem_, num_threads),
           ctrl_(cfg.scheduleController)
     {
-        HINTM_ASSERT(!ctrl_ || num_threads <= 64,
-                     "schedule controller requires <= 64 contexts");
+        checkThreadCount(cfg, num_threads);
         if (auto err = tir::verify(module))
             HINTM_FATAL("module fails verification: ", *err);
         HINTM_ASSERT(module.threadFunc >= 0, "module has no threadFunc");
-        HINTM_ASSERT(num_threads >= 1 &&
-                         num_threads <= cfg.numCores * cfg.smtPerCore,
-                     "thread count exceeds hardware contexts");
         if (cfg.dynamicHints) {
             HINTM_ASSERT(cfg.vm.dynamicClassification,
                          "dynamicHints requires vm.dynamicClassification");
@@ -251,8 +249,9 @@ class Machine
             else
                 sched_.setReady(w, cs.readyAt);
         }
-        // Hand back the state spinning would have left: the scan, the
-        // controlled loop and snapshots know nothing of parking.
+        // Hand back the state spinning would have left: a later call
+        // may take the scan or the controlled loop, which know nothing
+        // of parking, and finishRun() reads every readyAt.
         if (!waiters_.empty()) {
             waiters_.drain(
                 [this](unsigned c, Cycle t) { ctxs_[c].readyAt = t; });
@@ -342,7 +341,7 @@ class Machine
 
     /** Deschedule @p c until another context is preempted in its place
      * or nothing else is runnable (at most one context is preempted at
-     * a time). Also the explorer's branch move after a fork restore. */
+     * a time). */
     void
     preemptContext(unsigned c)
     {
@@ -355,8 +354,6 @@ class Machine
         if (changed && useSchedIndex_)
             rebuildSchedIndex();
     }
-
-    Cycle nowCycle() const { return now_; }
 
     RunResult
     run()
@@ -412,75 +409,6 @@ class Machine
                 return false;
         }
         return true;
-    }
-
-    MachineSnapshot
-    snapshot() const
-    {
-        // The oracle's shadow tracker is deliberately outside the
-        // snapshot scope: it is observation-only and config-gated.
-        HINTM_ASSERT(!cfg_.hintOracle,
-                     "snapshot of a hint-oracle machine is unsupported");
-        HINTM_ASSERT(!finalized_, "snapshot after finalization");
-        HINTM_ASSERT(waiters_.empty(), "snapshot with parked lock waiters");
-        MachineSnapshot s;
-        s.program = prog_.saveState();
-        s.mem = mem_->saveState();
-        s.vm = vm_->saveState();
-        s.ctxs.reserve(ctxs_.size());
-        for (const ContextState &cs : ctxs_) {
-            // The runtime scalars are copied whole from the base.
-            s.ctxs.push_back(
-                {cs.interp->saveState(), cs.htm->saveState(), cs});
-        }
-        s.lockHolder = lockHolder_;
-        s.shootdownCycles = shootdownCycles_;
-        s.partial = res_;
-        s.observers = observers_.state();
-        s.now = now_;
-        s.rr = rr_;
-        s.numThreads = unsigned(ctxs_.size());
-        s.moduleTag = moduleTag_;
-        return s;
-    }
-
-    void
-    restore(const MachineSnapshot &s)
-    {
-        HINTM_ASSERT(!cfg_.hintOracle,
-                     "restore into a hint-oracle machine is unsupported");
-        HINTM_ASSERT(s.moduleTag == moduleTag_ &&
-                         s.numThreads == ctxs_.size(),
-                     "snapshot does not match this machine");
-        // Restoring un-finalizes: the explorer reuses one machine for
-        // many branches, finishing each before restoring the next.
-        finalized_ = false;
-        prog_.loadState(s.program);
-        mem_->loadState(s.mem);
-        vm_->loadState(s.vm);
-        // Controllers after the memory system: their loadState
-        // re-publishes listener interest into the restored mem state.
-        for (std::size_t i = 0; i < ctxs_.size(); ++i) {
-            ContextState &cs = ctxs_[i];
-            const MachineContextSnapshot &c = s.ctxs[i];
-            cs.interp->loadState(c.interp);
-            cs.htm->loadState(c.htm);
-            static_cast<ContextRuntime &>(cs) = c.runtime;
-            // Snapshots never carry preemption or filter state; a
-            // forked branch re-applies its preemption after restore and
-            // rebuilds footprints conservatively.
-            cs.preempted = false;
-            cs.ctlFpCur.clear();
-            cs.ctlFpLast.clear();
-        }
-        lockHolder_ = s.lockHolder;
-        shootdownCycles_ = s.shootdownCycles;
-        res_ = s.partial;
-        observers_.restore(s.observers);
-        now_ = s.now;
-        rr_ = s.rr;
-        if (useSchedIndex_)
-            rebuildSchedIndex();
     }
 
   private:
@@ -954,8 +882,7 @@ class Machine
 
     /** Clear preemption flags without touching the index; true if any
      * context was released. Released contexts keep their stale readyAt
-     * (they were ready all along), which also makes a fork-restored
-     * branch and a from-scratch replay of the same plan bit-identical. */
+     * (they were ready all along). */
     bool
     releasePreemptedFlags()
     {
@@ -982,8 +909,7 @@ class Machine
     }
 
     /** Offer the completed event on @p c to the controller. Runs at a
-     * quiescent boundary: the step is done and the index republished,
-     * so a controller may snapshot the machine from inside the hook. */
+     * quiescent boundary: the step is done and the index republished. */
     void
     decisionPoint(unsigned c, SchedEvent ev)
     {
@@ -1002,8 +928,7 @@ class Machine
         // A spinner waiting on a preempted lock holder would spin
         // forever (spinning counts as runnable, so the nothing-else-
         // runnable release never fires): model the OS eventually
-        // rescheduling the holder. Purely state-driven, so forked and
-        // replayed branches release at the same step.
+        // rescheduling the holder.
         if (ev == SchedEvent::LockSpin && lockHolder_ >= 0 &&
             ctxs_[unsigned(lockHolder_)].preempted)
             releasePreempted();
@@ -1072,9 +997,9 @@ class Machine
         return dep;
     }
 
-    /** (Re)derive the scheduler index from context state. The index is
-     * derived state: built here at construction and again on snapshot
-     * restore (MachineSnapshot carries nothing for it). */
+    /** (Re)derive the scheduler index from context state: at
+     * construction, at the end of a run loop that parked waiters, and
+     * after a preemption change. */
     void
     rebuildSchedIndex()
     {
@@ -1121,7 +1046,6 @@ class Machine
 
     MachineConfig cfg_;
     tir::Program prog_;
-    const void *moduleTag_;
     std::unique_ptr<mem::MemorySystem> mem_;
     std::unique_ptr<vm::Vm> vm_;
     /** Every observation sink; declared after mem_, whose metrics
@@ -1132,8 +1056,8 @@ class Machine
     int lockHolder_ = -1;
     std::uint64_t shootdownCycles_ = 0;
     RunResult res_;
-    /** Scheduler clock + round-robin cursor (members so a run can be
-     * interrupted for snapshotting and resumed). */
+    /** Scheduler clock + round-robin cursor (members so a SimRun can
+     * stop at a commit target and resume). */
     Cycle now_ = 0;
     unsigned rr_ = 0;
     /** Event-driven ready-context index (cfg.schedIndex, <=64 ctxs). */
@@ -1160,6 +1084,19 @@ class Machine
 };
 
 } // namespace
+
+void
+checkThreadCount(const MachineConfig &cfg, unsigned num_threads)
+{
+    const unsigned contexts = cfg.numCores * cfg.smtPerCore;
+    if (num_threads < 1 || num_threads > contexts)
+        HINTM_FATAL("thread count ", num_threads,
+                    " does not fit the machine's ", contexts,
+                    " hardware contexts");
+    if (cfg.scheduleController && num_threads > 64)
+        HINTM_FATAL("thread count ", num_threads,
+                    " exceeds the schedule controller's limit of 64");
+}
 
 RunResult
 runMachine(const MachineConfig &cfg, const tir::Module &module,
@@ -1204,30 +1141,6 @@ std::uint64_t
 SimRun::committedTxs() const
 {
     return impl_->machine.committedTxs();
-}
-
-MachineSnapshot
-SimRun::snapshot() const
-{
-    return impl_->machine.snapshot();
-}
-
-void
-SimRun::restore(const MachineSnapshot &s)
-{
-    impl_->machine.restore(s);
-}
-
-void
-SimRun::preemptContext(unsigned ctx)
-{
-    impl_->machine.preemptContext(ctx);
-}
-
-Cycle
-SimRun::now() const
-{
-    return impl_->machine.nowCycle();
 }
 
 RunResult

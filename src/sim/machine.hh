@@ -176,11 +176,11 @@ struct RunResult
 
     /** Per-TX event journal (MachineConfig::journal only): every TX
      * attempt with site, outcome, abort attribution and footprint.
-     * Shared because RunResults are cached and copied by value. */
+     * Shared, so copying a RunResult does not copy the ring. */
     std::shared_ptr<const TxJournal> journal;
 
     /** Capacity-pressure metrics registry (MachineConfig::metrics
-     * only). Shared for the same caching reason as the journal. */
+     * only). Shared for the same reason as the journal. */
     std::shared_ptr<const MetricsRegistry> metrics;
 
     std::uint64_t
@@ -200,6 +200,47 @@ struct RunResult
  */
 RunResult runMachine(const MachineConfig &cfg, const tir::Module &module,
                      unsigned num_threads);
+
+/** HINTM_FATAL unless @p num_threads fits @p cfg's hardware contexts
+ * (and a schedule controller's 64). The thread count is user input
+ * (NAME@N, --threads, a .sched config line), not a simulator bug; the
+ * machine checks it on construction, and a sweep may check it once
+ * before fanning out. */
+void checkThreadCount(const MachineConfig &cfg, unsigned num_threads);
+
+/**
+ * runMachine() in chunks: the same machine, stopped after commit
+ * targets so a caller can time or inspect the run as it goes. Driven
+ * straight to finish(), the result is runMachine()'s.
+ */
+class SimRun
+{
+  public:
+    /** Build the machine and run the module's init phase. */
+    SimRun(const MachineConfig &cfg, const tir::Module &module,
+           unsigned num_threads);
+    ~SimRun();
+
+    SimRun(const SimRun &) = delete;
+    SimRun &operator=(const SimRun &) = delete;
+
+    /** Run until at least @p target TXs have committed (or the program
+     * finishes). target == 0 returns immediately. */
+    void runUntilCommits(std::uint64_t target);
+
+    /** True once every context is done. */
+    bool finished() const;
+
+    /** Committed TXs so far. */
+    std::uint64_t committedTxs() const;
+
+    /** Run to completion and finalize the result (once). */
+    RunResult finish();
+
+  private:
+    struct Impl;
+    std::unique_ptr<Impl> impl_;
+};
 
 } // namespace sim
 } // namespace hintm

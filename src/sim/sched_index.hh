@@ -52,8 +52,8 @@
  *    index while the winner's readyAt stays strictly below it.
  *
  * The index is derived state: the machine rebuilds it from context
- * state on construction and on snapshot restore (MachineSnapshot carries
- * nothing for it).
+ * state on construction, when a run loop hands back parked lock
+ * waiters, and after a preemption change.
  */
 
 #ifndef HINTM_SIM_SCHED_INDEX_HH
@@ -118,7 +118,7 @@ class SchedIndex
     }
 
     /** Register context @p c from its full scheduler-visible state
-     * (machine construction and snapshot restore). */
+     * (a rebuild after reset()). */
     void
     sync(unsigned c, bool done, bool at_barrier, Cycle ready_at)
     {

@@ -86,8 +86,7 @@ defaultTieBreak(std::uint64_t mask, unsigned rr)
  * Scheduler decision hook. The machine consults it once per
  * equal-readyAt tie and once per transactional event; both callbacks
  * run at a quiescent boundary (the event's step has fully completed and
- * the scheduler state is republished), so SimRun::snapshot() is safe to
- * call from onDecision().
+ * the scheduler state is republished).
  */
 class ScheduleController
 {
@@ -140,19 +139,14 @@ class PlanScheduleController : public ScheduleController
         std::uint32_t index = 0;
     };
 
-    /** Arm the controller for one run: preempt at @p preempt_at
-     * (ascending), with decision numbering starting at @p first_index
-     * (non-zero when resuming a forked branch whose prefix was skipped
-     * via snapshot restore). */
+    /** Arm the controller for one run from its first decision:
+     * preempt at @p preempt_at (ascending). */
     void
-    reset(std::vector<std::uint32_t> preempt_at,
-          std::uint32_t first_index = 0)
+    reset(std::vector<std::uint32_t> preempt_at)
     {
         plan_ = std::move(preempt_at);
-        next_ = first_index;
+        next_ = 0;
         cursor_ = 0;
-        while (cursor_ < plan_.size() && plan_[cursor_] < first_index)
-            ++cursor_;
         trace_.clear();
     }
 
@@ -178,7 +172,7 @@ class PlanScheduleController : public ScheduleController
     std::uint32_t nextIndex() const { return next_; }
 
     /** Explorer tap, invoked on every decision before the plan verdict
-     * (branch-candidate collection and snapshot capture). */
+     * (branch-candidate collection). */
     std::function<void(const SchedDecision &, std::uint32_t)> hook;
 
   private:

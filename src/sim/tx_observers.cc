@@ -27,7 +27,7 @@ TxObservers::TxObservers(const MachineConfig &cfg,
       collectTxSizes_(cfg.collectTxSizes),
       profileSharing_(cfg.profileSharing)
 {
-    s_.ctxs.resize(num_ctxs);
+    ctxs_.resize(num_ctxs);
     if (!cfg.journal && !cfg.metrics)
         return;
     std::vector<std::string> functions;
@@ -36,10 +36,10 @@ TxObservers::TxObservers(const MachineConfig &cfg,
         functions.push_back(f.name);
     const SiteNames names(std::move(functions));
     if (cfg.journal)
-        s_.journal.emplace(cfg.journalCapacity, names);
+        journal_.emplace(cfg.journalCapacity, names);
     if (cfg.metrics) {
-        s_.metrics.emplace(names);
-        mem_.setMetricsSink(&*s_.metrics);
+        metrics_.emplace(names);
+        mem_.setMetricsSink(&*metrics_);
     }
 }
 
@@ -47,11 +47,11 @@ void
 TxObservers::txBegin(unsigned c, Cycle now, const tir::Step &st,
                      unsigned retries, bool hardware)
 {
-    Ctx &x = s_.ctxs[c];
+    Ctx &x = ctxs_[c];
     trace::event(trace::Category::Tx, now, "ctx ", c,
                  hardware ? " begins hardware TX"
                           : " acquires the fallback lock");
-    if (s_.journal) {
+    if (journal_) {
         x.rec = TxRecord{};
         x.rec.begin = now;
         x.rec.ctx = c;
@@ -63,17 +63,17 @@ TxObservers::txBegin(unsigned c, Cycle now, const tir::Step &st,
             hardware ? TxOutcome::Commit : TxOutcome::FallbackCommit;
         x.recOpen = true;
     }
-    if (hardware && s_.metrics)
-        s_.metrics->beginTx(x.mtx, now, st.fn, st.srcBlock, st.srcInstr);
+    if (hardware && metrics_)
+        metrics_->beginTx(x.mtx, now, st.fn, st.srcBlock, st.srcInstr);
 }
 
 void
 TxObservers::abort(unsigned c, Cycle now, const htm::HtmController &h,
                    unsigned retries)
 {
-    Ctx &x = s_.ctxs[c];
+    Ctx &x = ctxs_[c];
     const htm::AbortReason reason = h.pendingReason();
-    if (s_.journal && x.recOpen) {
+    if (journal_ && x.recOpen) {
         x.rec.outcome = TxOutcome::Abort;
         x.rec.reason = std::uint8_t(reason);
         x.rec.readBlocks = std::uint32_t(h.readSetBlocks());
@@ -83,8 +83,8 @@ TxObservers::abort(unsigned c, Cycle now, const htm::HtmController &h,
         x.rec.offendingCtx = h.lastAbortCtx();
         pushRecord(x, now);
     }
-    if (s_.metrics && x.mtx.open) {
-        MetricsRegistry &m = *s_.metrics;
+    if (metrics_ && x.mtx.open) {
+        MetricsRegistry &m = *metrics_;
         if (reason == htm::AbortReason::Capacity) {
             // Occupancy breakdown of the overflowing cache set. Only
             // aborts that name an offending address have a set to scan
@@ -113,10 +113,10 @@ TxObservers::abort(unsigned c, Cycle now, const htm::HtmController &h,
 void
 TxObservers::convert(unsigned c, Cycle now, const htm::HtmController &h)
 {
-    Ctx &x = s_.ctxs[c];
+    Ctx &x = ctxs_[c];
     trace::event(trace::Category::Tx, now, "ctx ", c,
                  " converts overflowing TX to a critical section");
-    if (s_.journal && x.recOpen) {
+    if (journal_ && x.recOpen) {
         // Footprint at the moment tracking stops.
         x.rec.readBlocks = std::uint32_t(h.readSetBlocks());
         x.rec.writeBlocks = std::uint32_t(h.writeSetBlocks());
@@ -128,8 +128,8 @@ void
 TxObservers::commit(unsigned c, Cycle now, const htm::HtmController &h,
                     int lock_holder)
 {
-    Ctx &x = s_.ctxs[c];
-    if (s_.journal && x.recOpen) {
+    Ctx &x = ctxs_[c];
+    if (journal_ && x.recOpen) {
         x.rec.readBlocks = std::uint32_t(h.readSetBlocks());
         x.rec.writeBlocks = std::uint32_t(h.writeSetBlocks());
         pushRecord(x, now);
@@ -141,12 +141,12 @@ TxObservers::commit(unsigned c, Cycle now, const htm::HtmController &h,
     }
     trace::event(trace::Category::Tx, now, "ctx ", c, " commits (",
                  h.trackedBlocks(), " tracked blocks)");
-    if (s_.metrics && x.mtx.open)
-        s_.metrics->closeCommit(x.mtx, hintSaved(x, h));
+    if (metrics_ && x.mtx.open)
+        metrics_->closeCommit(x.mtx, hintSaved(x, h));
     if (collectTxSizes_) {
-        s_.txSizeAll.sample(x.fpAll.size());
-        s_.txSizeNoStatic.sample(x.fpNoStatic.size());
-        s_.txSizeUnsafe.sample(x.fpUnsafe.size());
+        txSizeAll_.sample(x.fpAll.size());
+        txSizeNoStatic_.sample(x.fpNoStatic.size());
+        txSizeUnsafe_.sample(x.fpUnsafe.size());
     }
     clearFootprints(x);
 }
@@ -154,14 +154,14 @@ TxObservers::commit(unsigned c, Cycle now, const htm::HtmController &h,
 void
 TxObservers::lockRelease(unsigned c, Cycle now)
 {
-    Ctx &x = s_.ctxs[c];
+    Ctx &x = ctxs_[c];
     // Converted footprints were captured at conversion; pure fallback
     // runs track nothing.
-    if (s_.journal && x.recOpen)
+    if (journal_ && x.recOpen)
         pushRecord(x, now);
-    if (s_.metrics) {
-        MetricsRegistry &m = *s_.metrics;
-        m.fallbackSeries.addSpan(s_.lockAcquiredAt, now);
+    if (metrics_) {
+        MetricsRegistry &m = *metrics_;
+        m.fallbackSeries.addSpan(lockAcquiredAt_, now);
         ++m.fallbackAcquisitions;
         // A converted TX commits under the lock, not the HTM: fold its
         // hint accounting without a commit verdict.
@@ -177,39 +177,26 @@ void
 TxObservers::finish(RunResult &r)
 {
     if (collectTxSizes_) {
-        r.txSizeAll = s_.txSizeAll;
-        r.txSizeNoStatic = s_.txSizeNoStatic;
-        r.txSizeUnsafe = s_.txSizeUnsafe;
+        r.txSizeAll = txSizeAll_;
+        r.txSizeNoStatic = txSizeNoStatic_;
+        r.txSizeUnsafe = txSizeUnsafe_;
     }
     if (profileSharing_) {
-        r.blockSharing = s_.profiler.blockSummary();
-        r.pageSharing = s_.profiler.pageSummary();
+        r.blockSharing = profiler_.blockSummary();
+        r.pageSharing = profiler_.pageSummary();
     }
-    if (s_.journal) {
-        const TxJournal &j = *s_.journal;
+    if (journal_) {
+        const TxJournal &j = *journal_;
         trace::event(trace::Category::Journal, r.cycles,
                      "TX journal flush: ", j.pushed(),
                      " attempts recorded, ", j.dropped(),
                      " dropped (ring capacity ", j.capacity(), ")");
-        r.journal = std::make_shared<const TxJournal>(
-            std::move(*s_.journal));
+        r.journal = std::make_shared<const TxJournal>(std::move(*journal_));
     }
-    if (s_.metrics) {
-        r.metrics = std::make_shared<const MetricsRegistry>(
-            std::move(*s_.metrics));
+    if (metrics_) {
+        r.metrics =
+            std::make_shared<const MetricsRegistry>(std::move(*metrics_));
     }
-}
-
-void
-TxObservers::restore(const State &s)
-{
-    HINTM_ASSERT(s.ctxs.size() == s_.ctxs.size() &&
-                     s.journal.has_value() == s_.journal.has_value() &&
-                     s.metrics.has_value() == s_.metrics.has_value(),
-                 "snapshot observer mode mismatch");
-    // Assigning in place keeps the registry the memory system feeds at
-    // the same address.
-    s_ = s;
 }
 
 /**
@@ -270,7 +257,7 @@ void
 TxObservers::pushRecord(Ctx &x, Cycle now)
 {
     x.rec.end = now;
-    s_.journal->push(x.rec);
+    journal_->push(x.rec);
     x.recOpen = false;
 }
 

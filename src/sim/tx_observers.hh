@@ -13,8 +13,7 @@
  * The machine calls it once per lifecycle event and never reads it
  * back, so results are bit-identical with any sink on or off
  * (test-locked in tests/test_properties.cc). Each sink is switched by
- * its own MachineConfig field. Everything the unit records is one
- * copyable State value, which is what a MachineSnapshot carries.
+ * its own MachineConfig field.
  */
 
 #ifndef HINTM_SIM_TX_OBSERVERS_HH
@@ -59,22 +58,6 @@ class TxObservers
         TxMetricsCtx mtx;
     };
 
-    /** Everything the sinks have recorded, as one value. A sink that is
-     * switched off leaves its part empty. */
-    struct State
-    {
-        std::vector<Ctx> ctxs;
-        std::optional<TxJournal> journal;
-        std::optional<MetricsRegistry> metrics;
-        stats::Distribution txSizeAll{1, 513};
-        stats::Distribution txSizeNoStatic{1, 513};
-        stats::Distribution txSizeUnsafe{1, 513};
-        SharingProfiler profiler;
-        /** Cycle the fallback lock was last taken (metrics' lock-hold
-         * span; only one context holds the lock at a time). */
-        Cycle lockAcquiredAt = 0;
-    };
-
     /** @p mem must outlive the unit; the metrics sink is attached to
      * it here. */
     TxObservers(const MachineConfig &cfg, const tir::Module &module,
@@ -99,13 +82,13 @@ class TxObservers
     txAccess(unsigned c, Addr addr, Cycle now, SafeHint hint,
              std::uint8_t newly, bool converted)
     {
-        Ctx &x = s_.ctxs[c];
-        if (s_.metrics && x.mtx.open && !converted) {
+        Ctx &x = ctxs_[c];
+        if (metrics_ && x.mtx.open && !converted) {
             if (hint != SafeHint::None)
-                s_.metrics->onSafeSkip(x.mtx, blockAlign(addr), hint);
+                metrics_->onSafeSkip(x.mtx, blockAlign(addr), hint);
             else if (newly)
-                s_.metrics->onTrackedGrowth(x.mtx, newly & htm::NewlyRead,
-                                            newly & htm::NewlyWritten, now);
+                metrics_->onTrackedGrowth(x.mtx, newly & htm::NewlyRead,
+                                          newly & htm::NewlyWritten, now);
         }
         if (collectTxSizes_) {
             const Addr blk = blockNumber(addr);
@@ -122,7 +105,7 @@ class TxObservers
     accessDone(ThreadId tid, Addr addr, AccessType type, bool in_tx)
     {
         if (profileSharing_)
-            s_.profiler.record(tid, addr, type, in_tx);
+            profiler_.record(tid, addr, type, in_tx);
     }
 
     /** @p c's hardware TX aborts. Called before acknowledgeAbort clears
@@ -131,7 +114,7 @@ class TxObservers
                unsigned retries);
 
     /** The fallback lock was taken at @p now. */
-    void lockAcquired(Cycle now) { s_.lockAcquiredAt = now; }
+    void lockAcquired(Cycle now) { lockAcquiredAt_ = now; }
 
     /** The pre-abort handler converts @p c's overflowing TX into a
      * critical section. Called before convertToCriticalSection. */
@@ -147,13 +130,8 @@ class TxObservers
     void lockRelease(unsigned c, Cycle now);
 
     /** Hand the recorded results to @p r (r.cycles must be final). The
-     * journal and the registry move into @p r: the result owns them,
-     * so a later restore() cannot change it. */
+     * journal and the registry move into @p r. */
     void finish(RunResult &r);
-
-    const State &state() const { return s_; }
-    /** Resume from @p s, recorded by an identically-configured unit. */
-    void restore(const State &s);
 
   private:
     /** Did the committing TX fit its capacity only because safe hints
@@ -169,7 +147,18 @@ class TxObservers
     const unsigned bufferEntries_;
     const bool collectTxSizes_;
     const bool profileSharing_;
-    State s_;
+    /** What the sinks record; a sink that is switched off leaves its
+     * part empty. */
+    std::vector<Ctx> ctxs_;
+    std::optional<TxJournal> journal_;
+    std::optional<MetricsRegistry> metrics_;
+    stats::Distribution txSizeAll_{1, 513};
+    stats::Distribution txSizeNoStatic_{1, 513};
+    stats::Distribution txSizeUnsafe_{1, 513};
+    SharingProfiler profiler_;
+    /** Cycle the fallback lock was last taken (metrics' lock-hold
+     * span; only one context holds the lock at a time). */
+    Cycle lockAcquiredAt_ = 0;
 };
 
 } // namespace sim

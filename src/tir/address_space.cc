@@ -1,7 +1,5 @@
 #include "address_space.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace hintm
@@ -60,37 +58,6 @@ AddressSpace::wordRef(Addr a)
     HINTM_ASSERT((a & 7) == 0, "misaligned access at ", a);
     HINTM_ASSERT(a != 0, "null dereference");
     return &(*getPage(pageNumber(a)))[pageOffset(a) / 8];
-}
-
-AddressSpace::State
-AddressSpace::saveState() const
-{
-    State s;
-    s.pageNums.reserve(pages_.size());
-    for (const auto &kv : pages_)
-        s.pageNums.push_back(kv.first);
-    std::sort(s.pageNums.begin(), s.pageNums.end());
-    s.words.reserve(s.pageNums.size() * wordsPerPage);
-    for (const Addr pn : s.pageNums) {
-        const Page &p = *pages_.at(pn);
-        s.words.insert(s.words.end(), p.begin(), p.end());
-    }
-    return s;
-}
-
-void
-AddressSpace::loadState(const State &s)
-{
-    HINTM_ASSERT(s.words.size() == s.pageNums.size() * wordsPerPage,
-                 "corrupt address-space state");
-    pages_.clear();
-    pageCache_.fill(CacheSlot{});
-    for (std::size_t i = 0; i < s.pageNums.size(); ++i) {
-        Page *p = pages_.emplace(s.pageNums[i], std::make_unique<Page>())
-                      .first->second.get();
-        std::copy_n(s.words.begin() + i * wordsPerPage, wordsPerPage,
-                    p->begin());
-    }
 }
 
 } // namespace tir

@@ -42,21 +42,6 @@ class AddressSpace
     /** Number of materialized pages (testing/profiling aid). */
     std::size_t pageCount() const { return pages_.size(); }
 
-    /**
-     * Flat copy of every materialized page, sorted by page number.
-     * words holds wordsPerPage entries per page, in pageNums order.
-     */
-    struct State
-    {
-        std::vector<Addr> pageNums;
-        std::vector<std::int64_t> words;
-    };
-
-    State saveState() const;
-
-    /** Replace all contents with @p s. Invalidates wordRef pointers. */
-    void loadState(const State &s);
-
   private:
     static constexpr std::size_t wordsPerPage = pageBytes / 8;
     using Page = std::array<std::int64_t, wordsPerPage>;

@@ -65,25 +65,6 @@ class Allocator
         std::uint64_t size;
     };
 
-  public:
-    /** Full allocator state; arena count must match on load. */
-    struct State
-    {
-        std::vector<Arena> arenas;
-        std::unordered_map<Addr, Allocation> live;
-        std::uint64_t liveBytes = 0;
-    };
-
-    State saveState() const { return {arenas_, live_, liveBytes_}; }
-
-    void loadState(const State &s)
-    {
-        arenas_ = s.arenas;
-        live_ = s.live;
-        liveBytes_ = s.liveBytes;
-    }
-
-  private:
     std::vector<Arena> arenas_;
     std::unordered_map<Addr, Allocation> live_;
     std::uint64_t liveBytes_ = 0;

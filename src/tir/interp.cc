@@ -1002,60 +1002,5 @@ ThreadInterp::rollbackToTxBegin()
     suspended_ = false;
 }
 
-ThreadInterp::State
-ThreadInterp::saveState() const
-{
-    State s;
-    s.frames = frames_;
-    s.regs = regs_;
-    s.stackPtr = stackPtr_;
-    s.done = done_;
-    s.inTx = inTx_;
-    s.htmMode = htmMode_;
-    s.suspended = suspended_;
-    s.checkpoint = checkpoint_;
-    s.undoLog = undoLog_;
-    s.txAllocs = txAllocs_;
-    s.deferredFrees = deferredFrees_;
-    s.safeStoreAddrs = safeStoreAddrs_;
-    s.staleSafeStores = staleSafeStores_;
-    s.memPending = memPending_;
-    s.pendingAddr = pendingAddr_;
-    s.instrCount = instrCount_;
-    return s;
-}
-
-void
-ThreadInterp::loadState(const State &s)
-{
-    frames_ = s.frames;
-    regs_ = s.regs;
-    stackPtr_ = s.stackPtr;
-    done_ = s.done;
-    inTx_ = s.inTx;
-    htmMode_ = s.htmMode;
-    suspended_ = s.suspended;
-    checkpoint_ = s.checkpoint;
-    undoLog_ = s.undoLog;
-    txAllocs_ = s.txAllocs;
-    deferredFrees_ = s.deferredFrees;
-    safeStoreAddrs_ = s.safeStoreAddrs;
-    staleSafeStores_ = s.staleSafeStores;
-    memPending_ = s.memPending;
-    pendingAddr_ = s.pendingAddr;
-    instrCount_ = s.instrCount;
-    // Re-derive the decoded-path boundary memos from the top frame: at a
-    // Mem boundary the frame's ip points at the pending op (flush stored
-    // it before next() returned) and the register window base is part of
-    // FrameMeta.
-    pendingDOp_ = nullptr;
-    pendingRegs_ = nullptr;
-    if (memPending_ && dec_) {
-        const FrameMeta &f = frames_.back();
-        pendingDOp_ = &dec_->fns[std::size_t(f.fn)].ops[std::size_t(f.ip)];
-        pendingRegs_ = regs_.data() + f.regBase;
-    }
-}
-
 } // namespace tir
 } // namespace hintm

@@ -35,7 +35,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "tir/address_space.hh"
@@ -80,33 +79,6 @@ class Program
     /** When true, safe stores that survive an abort are checked for the
      * initializing property on the retry (§III: written-before-read). */
     bool validateSafeStores = false;
-
-    /**
-     * Mutable program state: memory image, heap allocator, RNG streams.
-     * The module and decoded image are immutable and not captured, which
-     * is what lets one captured state seed programs built with different
-     * execution options (e.g. decode cache on/off).
-     */
-    struct State
-    {
-        AddressSpace::State space;
-        Allocator::State alloc;
-        std::vector<Rng> rngs;
-    };
-
-    State saveState() const
-    {
-        return {space_.saveState(), allocator_.saveState(), rngs_};
-    }
-
-    void loadState(const State &s)
-    {
-        HINTM_ASSERT(s.rngs.size() == rngs_.size(),
-                     "program state thread-count mismatch");
-        space_.loadState(s.space);
-        allocator_.loadState(s.alloc);
-        rngs_ = s.rngs;
-    }
 
   private:
     Module mod_;
@@ -246,39 +218,6 @@ class ThreadInterp
         Addr stackPtr = 0;
     };
 
-  public:
-    /**
-     * Complete thread state at a scheduler boundary. The two decoded-path
-     * convenience pointers (pendingDOp_/pendingRegs_) are derived from
-     * the top frame on load rather than captured.
-     */
-    struct State
-    {
-        std::vector<FrameMeta> frames;
-        std::vector<std::int64_t> regs;
-        Addr stackPtr = 0;
-        bool done = false;
-        bool inTx = false;
-        bool htmMode = false;
-        bool suspended = false;
-        Checkpoint checkpoint;
-        std::vector<std::pair<Addr, std::int64_t>> undoLog;
-        std::vector<Addr> txAllocs;
-        std::vector<Addr> deferredFrees;
-        std::unordered_set<Addr> safeStoreAddrs;
-        std::unordered_set<Addr> staleSafeStores;
-        bool memPending = false;
-        Addr pendingAddr = 0;
-        std::uint64_t instrCount = 0;
-    };
-
-    State saveState() const;
-
-    /** Restore a state captured from an identically-constructed thread
-     * (same program/tid/entry). */
-    void loadState(const State &s);
-
-  private:
     Step nextRef();
     Step nextDec();
     void completeMemRef();

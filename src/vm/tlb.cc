@@ -83,21 +83,5 @@ Tlb::updateState(Addr page_num, PageState state)
     }
 }
 
-void
-Tlb::loadState(const State &s)
-{
-    HINTM_ASSERT(s.slots.size() == slots_.size() &&
-                     s.stamps.size() == stamps_.size(),
-                 "TLB state size mismatch");
-    clock_ = s.clock;
-    slots_ = s.slots;
-    stamps_ = s.stamps;
-    index_.clear();
-    for (unsigned i = 0; i < stamps_.size(); ++i) {
-        if (stamps_[i] != 0)
-            index_.emplace(slots_[i].page, i);
-    }
-}
-
 } // namespace vm
 } // namespace hintm

@@ -80,20 +80,6 @@ class Tlb
     std::size_t size() const { return index_.size(); }
     unsigned capacity() const { return unsigned(slots_.size()); }
 
-    /** Exact TLB contents: the slots, their LRU stamps and the clock. */
-    struct State
-    {
-        std::uint64_t clock = 0;
-        std::vector<Entry> slots;
-        std::vector<std::uint64_t> stamps;
-    };
-
-    State saveState() const { return {clock_, slots_, stamps_}; }
-
-    /** Restore contents. Keeps the evict observer; invalidates any Entry
-     * pointers previously handed out (callers re-derive their memos). */
-    void loadState(const State &s);
-
   private:
     void
     notifyEvict(Addr page_num)

@@ -171,34 +171,5 @@ Vm::translate(int ctx, ThreadId tid, Addr addr, AccessType type)
     return res;
 }
 
-Vm::State
-Vm::saveState() const
-{
-    State s;
-    s.pageTable = *pt_;
-    s.tlbs.reserve(tlbs_.size());
-    for (const auto &tlb : tlbs_)
-        s.tlbs.push_back(tlb->saveState());
-    s.stats = stats_.values();
-    return s;
-}
-
-void
-Vm::loadState(const State &s)
-{
-    HINTM_ASSERT(s.tlbs.size() == tlbs_.size(),
-                 "vm state context-count mismatch");
-    *pt_ = s.pageTable;
-    for (std::size_t c = 0; c < tlbs_.size(); ++c) {
-        tlbs_[c]->loadState(s.tlbs[c]);
-        // The restored TLB nodes invalidate every memoized Tlb::Entry
-        // pointer; drop the whole classification memo. Absence is
-        // behavior-neutral (misses re-derive via translate()).
-        std::fill(classCaches_[c].begin(), classCaches_[c].end(),
-                  ClassEntry{});
-    }
-    stats_.setValues(s.stats);
-}
-
 } // namespace vm
 } // namespace hintm

@@ -131,23 +131,6 @@ class Vm
 
     stats::StatGroup &statGroup() { return stats_; }
 
-    /**
-     * Page table, per-context TLB images and stat values. The
-     * classification memo is deliberately not captured: loadState()
-     * clears it, and a cleared memo is behavior-neutral (a miss falls
-     * back to translate(), which produces the identical result — the
-     * same property --no-translation-cache cross-checks).
-     */
-    struct State
-    {
-        PageTable pageTable;
-        std::vector<Tlb::State> tlbs;
-        stats::StatGroup::Values stats;
-    };
-
-    State saveState() const;
-    void loadState(const State &s);
-
   private:
     static constexpr unsigned classSlots = 256;
 

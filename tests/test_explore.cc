@@ -1,17 +1,16 @@
 /**
  * @file
  * Schedule-explorer tests: default-controller bit-identity against the
- * controller-free scheduler paths, plan replay determinism, fork-vs-
- * scratch branch identity, schedule-file round-trips, the seeded-bug
- * catches (hint-oracle race, lazy lock subscription, convoy livelock),
- * DPOR pruning soundness, and scheduler-index wake edge cases under a
- * non-default tie-break.
+ * controller-free scheduler paths, plan replay determinism, schedule-
+ * file round-trips, the seeded-bug catches (hint-oracle race, lazy lock
+ * subscription, convoy livelock), DPOR pruning soundness and its
+ * independence from the hint oracle, and scheduler-index wake edge
+ * cases under a non-default tie-break.
  */
 
 #include <bit>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -23,7 +22,6 @@
 #include "sim/explorer.hh"
 #include "sim/sched_index.hh"
 #include "sim/schedule.hh"
-#include "sim/snapshot.hh"
 #include "sim/trace_check.hh"
 #include "workloads/workloads.hh"
 
@@ -235,66 +233,12 @@ TEST(PlanReplay, SamePlanIsByteIdentical)
         sim::MachineConfig cfg =
             core::makeMachineConfig(hintraceOptions());
         cfg.scheduleController = &ctrl;
-        sim::SimRun run(cfg, wl.module, wl.threads);
-        r[i] = run.finish();
+        r[i] = sim::runMachine(cfg, wl.module, wl.threads);
         decisions[i] = ctrl.nextIndex();
     }
     EXPECT_EQ(decisions[0], decisions[1]);
     expectSameResult(r[0], r[1]);
     EXPECT_FALSE(r[0].oracleWitnesses.empty());
-}
-
-/**
- * Branching from a mid-run snapshot (restore + preempt the decision's
- * context) must be bit-identical to replaying the extended plan from a
- * cold start — the property that lets the explorer fork instead of
- * re-running prefixes.
- */
-TEST(ExplorerFork, ForkedBranchMatchesScratchReplay)
-{
-    const std::uint32_t k = 5;
-    workloads::Workload wl =
-        workloads::buildConvoy(workloads::Scale::Tiny, 0);
-    sim::MachineConfig cfg = core::makeMachineConfig(convoyOptions());
-
-    // Base run: record, and capture the machine at decision k.
-    sim::PlanScheduleController ctrl;
-    cfg.scheduleController = &ctrl;
-    ctrl.reset({});
-    std::shared_ptr<const sim::MachineSnapshot> snap;
-    unsigned preempt_ctx = 0;
-    sim::SimRun base(cfg, wl.module, wl.threads);
-    ctrl.hook = [&](const sim::SchedDecision &d, std::uint32_t idx) {
-        if (idx == k) {
-            snap = std::make_shared<sim::MachineSnapshot>(
-                base.snapshot());
-            preempt_ctx = d.ctx;
-        }
-    };
-    base.finish();
-    ctrl.hook = nullptr;
-    ASSERT_TRUE(snap) << "base trace never reached decision " << k;
-
-    // Scratch: cold start, full plan.
-    sim::PlanScheduleController sctrl;
-    sctrl.reset({k});
-    sim::MachineConfig scfg = core::makeMachineConfig(convoyOptions());
-    scfg.scheduleController = &sctrl;
-    sim::SimRun scratch(scfg, wl.module, wl.threads);
-    const sim::RunResult a = scratch.finish();
-
-    // Fork: restore the snapshot and apply the preemption.
-    sim::PlanScheduleController fctrl;
-    fctrl.reset({k}, k + 1);
-    sim::MachineConfig fcfg = core::makeMachineConfig(convoyOptions());
-    fcfg.scheduleController = &fctrl;
-    sim::SimRun fork(fcfg, wl.module, wl.threads);
-    fork.restore(*snap);
-    fork.preemptContext(preempt_ctx);
-    const sim::RunResult b = fork.finish();
-
-    expectSameResult(a, b);
-    EXPECT_EQ(sctrl.nextIndex(), fctrl.nextIndex());
 }
 
 TEST(ScheduleFile, RoundTripsAndRejectsGarbage)
@@ -346,9 +290,6 @@ TEST(ExplorerCatches, SeededHintOracleRaceAtBoundTwo)
     // Every violation carries a replayable plan within the bound.
     for (const sim::ExploreIssue &is : rep.issues)
         EXPECT_LE(is.plan.size(), 2u);
-    // Oracle configs cannot fork (shadow state is outside snapshots).
-    EXPECT_EQ(rep.snapshotForks, 0u);
-    EXPECT_GT(rep.scratchReplays, 0u);
 
     workloads::Workload clean =
         workloads::buildHintRace(workloads::Scale::Tiny, 0, false);
@@ -375,7 +316,6 @@ TEST(ExplorerCatches, SeededLazySubscriptionAtBoundTwo)
         sim::exploreSchedules(cfg, wl.module, wl.threads, opt);
     EXPECT_TRUE(rep.anyFatal());
     EXPECT_TRUE(fatalKinds(rep).count("subscription"));
-    EXPECT_GT(rep.snapshotForks, 0u); // no oracle: forking allowed
 }
 
 TEST(ExplorerCatches, CleanConvoyPassesWithLivelockWarning)
@@ -436,28 +376,40 @@ TEST(ExplorerDpor, PrunesSchedulesWithoutLosingViolations)
     EXPECT_TRUE(pk.count("hint-oracle"));
 }
 
-/** Exploration fans out over host threads without changing the report:
- * the merge is in deterministic branch order. */
-TEST(ExplorerJobs, ParallelMatchesSequential)
+/** The hint oracle only observes: switching it on must not change what
+ * the explorer runs, prunes or reports. Lazy-subscription convoy at
+ * bound 2 under the default budget, which binds. */
+TEST(ExplorerDpor, ReportDoesNotDependOnTheHintOracle)
 {
     sim::ExploreOptions opt;
-    opt.preemptionBound = 1; // stay under maxSchedules: a binding cap
-                             // makes *which* branches get dropped
-                             // depend on worker arrival order
-    const sim::MachineConfig cfg =
-        core::makeMachineConfig(convoyOptions());
+    opt.preemptionBound = 2;
+    sim::MachineConfig cfg = core::makeMachineConfig(convoyOptions());
+    cfg.unsafeLazySubscription = true;
     workloads::Workload wl =
         workloads::buildConvoy(workloads::Scale::Tiny, 0);
 
-    const sim::ExploreReport seq =
+    const sim::ExploreReport off =
         sim::exploreSchedules(cfg, wl.module, wl.threads, opt);
-    opt.jobs = 4;
-    const sim::ExploreReport par =
+    cfg.hintOracle = true;
+    const sim::ExploreReport on =
         sim::exploreSchedules(cfg, wl.module, wl.threads, opt);
 
-    EXPECT_EQ(seq.branchPoints, par.branchPoints);
-    EXPECT_EQ(seq.branchesPruned, par.branchesPruned);
-    EXPECT_EQ(fatalKinds(seq), fatalKinds(par));
+    EXPECT_EQ(on.schedulesRun, off.schedulesRun);
+    EXPECT_EQ(on.branchPoints, off.branchPoints);
+    EXPECT_EQ(on.branchesPruned, off.branchesPruned);
+    EXPECT_EQ(on.branchesCapped, off.branchesCapped);
+    EXPECT_GT(off.branchesCapped, 0u);
+    ASSERT_EQ(on.issues.size(), off.issues.size());
+    for (std::size_t i = 0; i < on.issues.size(); ++i) {
+        const sim::ExploreIssue &a = on.issues[i];
+        const sim::ExploreIssue &b = off.issues[i];
+        EXPECT_EQ(a.violation.kind, b.violation.kind) << "issue " << i;
+        EXPECT_EQ(a.violation.fatal, b.violation.fatal) << "issue " << i;
+        EXPECT_EQ(a.violation.detail, b.violation.detail) << "issue " << i;
+        EXPECT_EQ(a.plan, b.plan) << "issue " << i;
+        EXPECT_EQ(a.decisions, b.decisions) << "issue " << i;
+    }
+    EXPECT_TRUE(fatalKinds(off).count("subscription"));
 }
 
 // ---------------------------------------------------------------------
@@ -526,31 +478,4 @@ TEST(SchedIndexWake, DenseModeHonorsChooser)
     for (unsigned c = 0; c < 4; ++c)
         idx2.sync(c, false, false, 1);
     EXPECT_EQ(idx2.pick(1).winner, 1);
-}
-
-/** Restoring a snapshot mid-branch rebuilds the index from context
- * state: a run driven restore -> finish twice must be identical. */
-TEST(SchedIndexWake, SnapshotRestoreMidBranchIsRepeatable)
-{
-    workloads::Workload wl =
-        workloads::buildConvoy(workloads::Scale::Tiny, 0);
-    sim::PlanScheduleController ctrl;
-    ctrl.reset({3});
-    sim::MachineConfig cfg = core::makeMachineConfig(convoyOptions());
-    cfg.scheduleController = &ctrl;
-    sim::SimRun run(cfg, wl.module, wl.threads);
-    run.runUntilCommits(4);
-    const sim::MachineSnapshot snap = run.snapshot();
-
-    ctrl.reset({3}, ctrl.nextIndex());
-    const std::uint32_t mark = ctrl.nextIndex();
-    run.restore(snap);
-    const sim::RunResult a = run.finish();
-    const std::uint32_t da = ctrl.nextIndex();
-
-    ctrl.reset({3}, mark);
-    run.restore(snap);
-    const sim::RunResult b = run.finish();
-    expectSameResult(a, b);
-    EXPECT_EQ(da, ctrl.nextIndex());
 }

@@ -2,14 +2,22 @@
  * @file
  * Tests for the transactional runtime inside sim::Machine: fallback-lock
  * acquisition and subscription aborts, retry escalation, barriers, SMT
- * context placement, end-to-end page-mode aborts, preserve policy, and
- * the statistics the figures depend on (footprint CDFs, access mix).
+ * context placement, end-to-end page-mode aborts, preserve policy, the
+ * statistics the figures depend on (footprint CDFs, access mix), and
+ * SimRun's chunked runs.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "../bench/result_store.hh"
 #include "core/hintm.hh"
+#include "sim/journal_io.hh"
 #include "sim/machine.hh"
+#include "sim/schedule.hh"
 #include "tir/builder.hh"
 #include "tir/verifier.hh"
 #include "workloads/workloads.hh"
@@ -306,7 +314,19 @@ TEST(Machine, ThreadCountMustFitContexts)
     core::SystemOptions opts;
     opts.numCores = 2;
     opts.smtPerCore = 1;
-    EXPECT_THROW(core::simulate(opts, m, 4), std::logic_error);
+    EXPECT_THROW(core::simulate(opts, m, 4), FatalError);
+}
+
+TEST(Machine, ScheduleControllerTakesAtMostSixtyFourThreads)
+{
+    Module m = overflowModule(1);
+    core::compileHints(m);
+    core::SystemOptions opts;
+    opts.numCores = 128;
+    sim::DefaultScheduleController ctrl;
+    sim::MachineConfig cfg = core::makeMachineConfig(opts);
+    cfg.scheduleController = &ctrl;
+    EXPECT_THROW(sim::runMachine(cfg, m, 65), FatalError);
 }
 
 TEST(Machine, PreAbortHandlerConvertsInsteadOfAborting)
@@ -375,4 +395,104 @@ TEST(Machine, RequesterLosesPolicyStaysSerializable)
     EXPECT_EQ(r.committedTxs, 8u * 60u);
     // Conflicts now charge the requester; there must still be some.
     EXPECT_GT(r.htm.aborts[unsigned(htm::AbortReason::Conflict)], 0u);
+}
+
+// ---- chunked runs --------------------------------------------------
+
+namespace
+{
+
+/** vacation@64 at Tiny on P8 Baseline with every observation sink on:
+ * the fallback lock stays busy, so the indexed loop parks waiters. */
+sim::MachineConfig
+parkingConfig()
+{
+    core::SystemOptions o;
+    o.htmKind = htm::HtmKind::P8;
+    o.mechanism = core::Mechanism::Baseline;
+    o.numCores = 64;
+    o.collectTxSizes = true;
+    o.collectRawStats = true;
+    o.profileSharing = true;
+    o.journal = true;
+    o.metrics = true;
+    return core::makeMachineConfig(o);
+}
+
+/** Every export of a run: its stats-JSON record, its Perfetto
+ * timeline and its RunResult encoding. */
+std::string
+allExports(const sim::RunResult &r)
+{
+    const std::vector<sim::JournalRun> runs = {{"w", "c", 8, &r}};
+    std::ostringstream trace;
+    sim::writePerfettoTrace(trace, runs);
+    return sim::statsJsonRecord(runs[0]) + "\n" + trace.str() + "\n" +
+           bench::encodeRunResult(r);
+}
+
+void
+expectSameResult(const sim::RunResult &a, const sim::RunResult &b,
+                 const std::string &what)
+{
+    // Spot checks first (readable failures), then the full exports.
+    EXPECT_EQ(a.cycles, b.cycles) << what;
+    EXPECT_EQ(a.instructions, b.instructions) << what;
+    EXPECT_EQ(a.committedTxs, b.committedTxs) << what;
+    EXPECT_EQ(a.htm.totalAborts(), b.htm.totalAborts()) << what;
+    EXPECT_EQ(a.rawStats, b.rawStats) << what;
+    EXPECT_EQ(allExports(a), allExports(b)) << what;
+}
+
+} // namespace
+
+TEST(SimRun, EightCommitChunksMatchColdIndexedAndScanRuns)
+{
+    // Every exit of the indexed loop hands back each parked waiter's
+    // exact readyAt. A run in 8-commit chunks, which leaves and
+    // re-enters the loop mid-convoy, must finish bit-identical to a
+    // cold indexed run and to a cold run of the reference scan, which
+    // steps every re-check.
+    workloads::Workload wl =
+        workloads::byName("vacation@64", workloads::Scale::Tiny);
+    core::compileHints(wl.module);
+    const sim::MachineConfig cfg = parkingConfig();
+    sim::MachineConfig scan_cfg = cfg;
+    scan_cfg.schedIndex = false;
+
+    const sim::RunResult cold =
+        sim::runMachine(cfg, wl.module, wl.threads);
+    ASSERT_GT(cold.fallbackRuns, 0u);
+
+    sim::SimRun a(cfg, wl.module, wl.threads);
+    for (std::uint64_t target = 8; !a.finished(); target += 8)
+        a.runUntilCommits(target);
+    const sim::RunResult chunked = a.finish();
+    expectSameResult(cold, chunked, "8-commit chunks vs cold indexed");
+    expectSameResult(sim::runMachine(scan_cfg, wl.module, wl.threads),
+                     chunked, "8-commit chunks vs cold scan");
+}
+
+TEST(SimRun, ChunkExitsHandBackParkedLockWaiters)
+{
+    // With eager lock subscription a chunk never ends with waiters
+    // parked: its last commit either releases the lock (waking them
+    // all) or runs while the lock is free. The seeded lazy-subscription
+    // bug lets hardware TXs commit under a held lock, so one-commit
+    // chunks end mid-convoy; every exit must restore each waiter's
+    // exact readyAt or the chunked run drifts from the cold one.
+    workloads::Workload wl =
+        workloads::byName("vacation@64", workloads::Scale::Tiny);
+    core::compileHints(wl.module);
+    sim::MachineConfig cfg = parkingConfig();
+    cfg.unsafeLazySubscription = true;
+
+    const sim::RunResult cold =
+        sim::runMachine(cfg, wl.module, wl.threads);
+    ASSERT_GT(cold.subscriptionViolations, 0u);
+
+    sim::SimRun a(cfg, wl.module, wl.threads);
+    for (std::uint64_t target = 1; !a.finished(); ++target)
+        a.runUntilCommits(target);
+    expectSameResult(cold, a.finish(), "one-commit chunks");
 }

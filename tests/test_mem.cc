@@ -556,44 +556,6 @@ TEST(Directory, WideMasksCoverSixtyFourL1s)
     EXPECT_EQ(ms.ownerOf(0x40), 63);
 }
 
-TEST(Directory, SaveLoadRoundTripsSharerOwnerAndTrackerState)
-{
-    MemorySystem ms(smallConfig(), 2);
-    const ContextId c0 = ms.addContext(0);
-    const ContextId c1 = ms.addContext(1);
-
-    ms.access(c0, 0x40, AccessType::Write); // owned by L1 0
-    ms.access(c1, 0x80, AccessType::Read);
-    ms.access(c0, 0x80, AccessType::Read); // shared
-    Directory *dir = ms.directory();
-    ASSERT_NE(dir, nullptr);
-    dir->txTrack(0x40, unsigned(c0));
-    dir->txTrack(0x80, unsigned(c1));
-    dir->setSigActive(unsigned(c1), true);
-
-    const MemorySystem::State snap = ms.saveState();
-
-    // Mutate everything the snapshot should shield.
-    ms.access(c1, 0x40, AccessType::Write); // steal ownership
-    dir->txUntrack(0x40, unsigned(c0));
-    dir->setSigActive(unsigned(c1), false);
-    dir->txTrack(0xC0, unsigned(c0));
-    ASSERT_EQ(ms.ownerOf(0x40), 1);
-
-    ms.loadState(snap);
-    EXPECT_TRUE(ms.directoryActive());
-    EXPECT_EQ(ms.ownerOf(0x40), 0);
-    EXPECT_EQ(ms.dirStateOf(0x40), DirState::Owned);
-    EXPECT_EQ(ms.sharerMaskOf(0x80), 0b11u);
-    EXPECT_EQ(ms.dirStateOf(0x80), DirState::Shared);
-    Directory *restored = ms.directory();
-    ASSERT_NE(restored, nullptr);
-    EXPECT_EQ(restored->txTrackers(0x40), 1u << unsigned(c0));
-    EXPECT_EQ(restored->txTrackers(0x80), 1u << unsigned(c1));
-    EXPECT_EQ(restored->txTrackers(0xC0), 0u);
-    EXPECT_EQ(restored->sigActiveMask(), 1u << unsigned(c1));
-}
-
 // ---- NUMA latency tiers --------------------------------------------
 
 TEST(Numa, FlatConfigChargesNoPenalty)

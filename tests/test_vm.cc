@@ -176,38 +176,6 @@ TEST(Tlb, EntriesStayStableAcrossUnrelatedInsertsAndEvictions)
     EXPECT_EQ(keep->state, PageState::SharedRo);
 }
 
-TEST(Tlb, SaveLoadRoundTripKeepsStampsAndVictimOrder)
-{
-    Tlb a(3);
-    a.insert(1, PageState::PrivateRo);
-    a.insert(2, PageState::SharedRo);
-    a.insert(3, PageState::PrivateRw);
-    a.lookup(1);
-    a.invalidate(3);
-    const Tlb::State s = a.saveState();
-    Tlb b(3);
-    b.insert(9, PageState::SharedRw); // overwritten by the load
-    b.loadState(s);
-    EXPECT_EQ(b.saveState().clock, s.clock);
-    EXPECT_EQ(b.saveState().stamps, s.stamps);
-    EXPECT_FALSE(b.contains(9));
-    EXPECT_FALSE(b.contains(3));
-    EXPECT_EQ(b.size(), 2u);
-    PageState st;
-    ASSERT_TRUE(b.lookup(2, &st));
-    EXPECT_EQ(st, PageState::SharedRo);
-    // Both copies now evict in the same order.
-    for (Tlb *t : {&a, &b}) {
-        std::vector<Addr> evicted;
-        t->setEvictObserver([&](Addr p) { evicted.push_back(p); });
-        t->lookup(2);
-        for (Addr p = 10; p < 14; ++p)
-            t->insert(p, PageState::PrivateRo);
-        EXPECT_EQ(evicted, (std::vector<Addr>{1, 2, 10}));
-        t->setEvictObserver(nullptr);
-    }
-}
-
 TEST(Vm, DisabledClassificationOnlyModelsTlb)
 {
     VmConfig cfg;

@@ -26,7 +26,6 @@
 #include "core/hintm.hh"
 #include "sim/explorer.hh"
 #include "sim/schedule.hh"
-#include "sim/snapshot.hh"
 #include "sim/trace_check.hh"
 #include "workloads/workloads.hh"
 
@@ -59,8 +58,6 @@ usage(int code)
         "  --no-final-state    skip the final-memory determinism check\n"
         "                      (forced off for hintrace: its final state\n"
         "                      is legitimately schedule-dependent)\n"
-        "  --jobs N            host threads over top-level branches "
-        "(default 1)\n"
         "  --schedule-out FILE write the first fatal violation's "
         "schedule\n"
         "  --replay FILE       run one recorded schedule and re-check it\n"
@@ -185,8 +182,6 @@ writeJson(std::ostream &os, const Setup &s,
        << "  \"branch_points\": " << rep.branchPoints << ",\n"
        << "  \"branches_pruned\": " << rep.branchesPruned << ",\n"
        << "  \"branches_capped\": " << rep.branchesCapped << ",\n"
-       << "  \"snapshot_forks\": " << rep.snapshotForks << ",\n"
-       << "  \"scratch_replays\": " << rep.scratchReplays << ",\n"
        << "  \"issues\": [";
     for (std::size_t i = 0; i < rep.issues.size(); ++i) {
         const sim::ExploreIssue &is = rep.issues[i];
@@ -231,8 +226,8 @@ replay(const std::string &path)
     std::printf("replaying %s: %s, %s, %zu preemption(s)\n",
                 path.c_str(), wl.name.c_str(), sf.config.c_str(),
                 sf.preemptAt.size());
-    sim::SimRun run(cfg, wl.module, s.threads ? s.threads : wl.threads);
-    const sim::RunResult r = run.finish();
+    const sim::RunResult r =
+        sim::runMachine(cfg, wl.module, s.threads ? s.threads : wl.threads);
     std::printf("cycles %llu, TXs %llu (%llu fallback), decisions %u\n",
                 (unsigned long long)r.cycles,
                 (unsigned long long)r.committedTxs,
@@ -292,8 +287,6 @@ run(int argc, char **argv)
             opt.dpor = false;
         } else if (a == "--no-final-state") {
             opt.compareFinalState = false;
-        } else if (a == "--jobs") {
-            opt.jobs = parseFlag<unsigned>(a, next());
         } else if (a == "--schedule-out") {
             scheduleOut = next();
         } else if (a == "--replay") {
@@ -332,11 +325,8 @@ run(int argc, char **argv)
     const sim::ExploreReport rep =
         sim::exploreSchedules(cfg, wl.module, threads, opt);
 
-    std::printf("schedules run     : %llu (%llu forked, %llu replayed "
-                "from scratch)\n",
-                (unsigned long long)rep.schedulesRun,
-                (unsigned long long)rep.snapshotForks,
-                (unsigned long long)rep.scratchReplays);
+    std::printf("schedules run     : %llu\n",
+                (unsigned long long)rep.schedulesRun);
     std::printf("branch points     : %llu (%llu pruned as independent, "
                 "%llu capped)\n",
                 (unsigned long long)rep.branchPoints,
