@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <thread>
 
 #include "common/cli.hh"
 #include "common/logging.hh"
@@ -233,7 +234,7 @@ effectiveJobs(unsigned requested, unsigned sim_threads)
         return requested;
     }
     return std::min(std::min(64u, budget),
-                    std::max(1u, ThreadPool::defaultWorkers()));
+                    std::max(1u, std::thread::hardware_concurrency()));
 }
 
 std::vector<sim::RunResult>

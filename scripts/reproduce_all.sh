@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Regenerate every paper figure/table plus the ablations into results/,
-# then check the paper's shapes on the figure outputs with
-# check_shapes.py; the exit status is that script's.
+# Regenerate every paper figure/table, the ablations and the scaling
+# study (8/32/64 contexts) into results/, then check the paper's shapes
+# on the figure outputs with check_shapes.py; the exit status is that
+# script's.
 # Usage: scripts/reproduce_all.sh [build-dir] (default: build)
 # Env:   JOBS=N  host threads per harness (default: nproc)
 set -euo pipefail
@@ -18,6 +19,7 @@ benches=(
     fig6_cdf
     fig7_p8s
     fig8_l1tm
+    fig_scale
     ablation_buffer
     ablation_signature
     ablation_pagepolicy

@@ -25,6 +25,7 @@
 #include <map>
 #include <vector>
 
+#include "common/flat_set.hh"
 #include "common/tx_site.hh"
 #include "common/types.hh"
 
@@ -104,110 +105,6 @@ class TimeSeries
 };
 
 /**
- * Insert-only address set with O(1) clear, for per-TX scratch state
- * that is wiped at every attempt begin. Same open-addressing layout as
- * AddrSet, but each slot carries the epoch it was written in: clear()
- * just bumps the epoch, so the begin-of-TX wipe costs nothing instead
- * of an O(capacity) fill. That matters because beginTx runs once per
- * hardware attempt and the slot arrays persist at the size of the
- * largest footprint seen.
- */
-class EpochAddrSet
-{
-  public:
-    explicit EpochAddrSet(std::size_t initial_slots = 16)
-    {
-        std::size_t cap = 16;
-        while (cap < initial_slots)
-            cap <<= 1;
-        slots_.assign(cap, Slot{0, 0});
-    }
-
-    /** @return true when @p a was newly inserted this epoch. */
-    bool
-    insert(Addr a)
-    {
-        if ((size_ + 1) * 4 > slots_.size() * 3)
-            grow();
-        Slot *s = findSlot(a);
-        if (s->epoch == epoch_)
-            return false;
-        s->key = a;
-        s->epoch = epoch_;
-        ++size_;
-        return true;
-    }
-
-    bool
-    contains(Addr a) const
-    {
-        return const_cast<EpochAddrSet *>(this)->findSlot(a)->epoch ==
-               epoch_;
-    }
-
-    /** Invalidate every key; O(1). */
-    void
-    clear()
-    {
-        ++epoch_;
-        size_ = 0;
-    }
-
-    std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-
-    /** Visit every live key (unspecified order). */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (const Slot &s : slots_) {
-            if (s.epoch == epoch_)
-                fn(s.key);
-        }
-    }
-
-  private:
-    struct Slot
-    {
-        Addr key;
-        std::uint64_t epoch;
-    };
-
-    /** Slot holding @p a this epoch, or the free slot where it would
-     * go (a slot is free when its epoch is stale). */
-    Slot *
-    findSlot(Addr a)
-    {
-        const std::size_t mask = slots_.size() - 1;
-        std::size_t i =
-            std::size_t(a * 0x9E3779B97F4A7C15ull >> 32) & mask;
-        while (slots_[i].epoch == epoch_ && slots_[i].key != a)
-            i = (i + 1) & mask;
-        return &slots_[i];
-    }
-
-    void
-    grow()
-    {
-        std::vector<Slot> old = std::move(slots_);
-        slots_.assign(old.size() * 2, Slot{0, 0});
-        for (const Slot &s : old) {
-            if (s.epoch == epoch_) {
-                Slot *d = findSlot(s.key);
-                d->key = s.key;
-                d->epoch = epoch_;
-            }
-        }
-    }
-
-    std::vector<Slot> slots_;
-    /** Slots start at epoch 0, so 1 means "all empty". */
-    std::uint64_t epoch_ = 1;
-    std::size_t size_ = 0;
-};
-
-/**
  * Per-context scratch state for the transaction currently being
  * measured. Lives in the observers' per-context state.
  */
@@ -220,7 +117,7 @@ struct TxMetricsCtx
     std::uint32_t readBlocks = 0;
     std::uint32_t writeBlocks = 0;
     /** Distinct blocks excluded from tracking by safe hints. */
-    EpochAddrSet skips{16};
+    AddrSet skips{16};
     /** Safe-skipped accesses by classification source. */
     std::uint64_t skipStatic = 0;
     std::uint64_t skipDyn = 0;

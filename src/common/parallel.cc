@@ -1,89 +1,14 @@
 #include "parallel.hh"
 
-#include "common/logging.hh"
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <system_error>
+#include <thread>
+#include <vector>
 
 namespace hintm
 {
-
-unsigned
-ThreadPool::defaultWorkers()
-{
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
-}
-
-ThreadPool::ThreadPool(unsigned workers)
-{
-    if (workers == 0)
-        workers = defaultWorkers();
-    threads_.reserve(workers);
-    for (unsigned i = 0; i < workers; ++i)
-        threads_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        stopping_ = true;
-    }
-    taskReady_.notify_all();
-    for (std::thread &t : threads_)
-        t.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    HINTM_ASSERT(task != nullptr, "null task submitted");
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        HINTM_ASSERT(!stopping_, "submit on a stopping pool");
-        queue_.push_back(std::move(task));
-    }
-    taskReady_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    allDone_.wait(lock,
-                  [this] { return queue_.empty() && running_ == 0; });
-    if (firstError_) {
-        std::exception_ptr e = firstError_;
-        firstError_ = nullptr;
-        std::rethrow_exception(e);
-    }
-}
-
-void
-ThreadPool::workerLoop()
-{
-    std::unique_lock<std::mutex> lock(mu_);
-    while (true) {
-        taskReady_.wait(lock,
-                        [this] { return stopping_ || !queue_.empty(); });
-        if (queue_.empty()) // stopping_ and drained
-            return;
-        std::function<void()> task = std::move(queue_.front());
-        queue_.pop_front();
-        ++running_;
-        lock.unlock();
-        try {
-            task();
-        } catch (...) {
-            lock.lock();
-            if (!firstError_)
-                firstError_ = std::current_exception();
-            lock.unlock();
-        }
-        lock.lock();
-        --running_;
-        if (queue_.empty() && running_ == 0)
-            allDone_.notify_all();
-    }
-}
 
 void
 parallelFor(unsigned workers, std::size_t n,
@@ -98,10 +23,35 @@ parallelFor(unsigned workers, std::size_t n,
             fn(i);
         return;
     }
-    ThreadPool pool(workers);
-    for (std::size_t i = 0; i < n; ++i)
-        pool.submit([&fn, i] { fn(i); });
-    pool.wait();
+    std::atomic<std::size_t> next_index{0};
+    std::mutex mu;
+    std::exception_ptr first_error;
+    const auto work = [&] {
+        for (std::size_t i; (i = next_index++) < n;) {
+            try {
+                fn(i);
+            } catch (...) {
+                const std::lock_guard<std::mutex> lock(mu);
+                if (!first_error)
+                    first_error = std::current_exception();
+            }
+        }
+    };
+    std::vector<std::thread> threads;
+    threads.reserve(workers);
+    try {
+        for (unsigned t = 0; t < workers; ++t)
+            threads.emplace_back(work);
+    } catch (const std::system_error &) {
+        // Out of host threads: the ones already running still claim
+        // every index.
+        if (threads.empty())
+            throw;
+    }
+    for (std::thread &t : threads)
+        t.join();
+    if (first_error)
+        std::rethrow_exception(first_error);
 }
 
 } // namespace hintm

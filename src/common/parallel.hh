@@ -1,73 +1,26 @@
 /**
  * @file
- * Host-side parallelism for the experiment runner: a small FIFO thread
- * pool plus a parallel-for helper. Simulations are deterministic and
- * self-contained, so farming independent `core::simulate` calls out to
- * host threads changes wall-clock time only, never results.
+ * Host-side parallelism for the experiment runner: a parallel-for
+ * helper. Simulations are deterministic and self-contained, so farming
+ * independent `core::simulate` calls out to host threads changes
+ * wall-clock time only, never results.
  */
 
 #ifndef HINTM_COMMON_PARALLEL_HH
 #define HINTM_COMMON_PARALLEL_HH
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace hintm
 {
 
 /**
- * Fixed-size FIFO thread pool. Tasks are plain closures; submission
- * order is the dispatch order. Exceptions thrown by tasks are captured
- * and rethrown (first one wins) from wait().
- */
-class ThreadPool
-{
-  public:
-    /** @param workers host threads; 0 means defaultWorkers(). */
-    explicit ThreadPool(unsigned workers = 0);
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Enqueue a task; it may start running immediately. */
-    void submit(std::function<void()> task);
-
-    /**
-     * Block until every submitted task has finished, then rethrow the
-     * first captured task exception, if any.
-     */
-    void wait();
-
-    unsigned workers() const { return unsigned(threads_.size()); }
-
-    /** Hardware concurrency, with a floor of 1. */
-    static unsigned defaultWorkers();
-
-  private:
-    void workerLoop();
-
-    std::vector<std::thread> threads_;
-    std::deque<std::function<void()>> queue_;
-    std::mutex mu_;
-    std::condition_variable taskReady_;
-    std::condition_variable allDone_;
-    unsigned running_ = 0;
-    bool stopping_ = false;
-    std::exception_ptr firstError_;
-};
-
-/**
- * Run fn(0) .. fn(n-1) on min(@p workers, n) host threads and block
- * until all complete. One worker executes inline, with no thread
- * machinery at all — handy for debugging and for exact single-threaded
- * baselines.
+ * Run fn(0) .. fn(n-1) on min(@p workers, n) host threads, which claim
+ * indices in increasing order, and block until all complete. The first
+ * exception an item throws is rethrown once every thread has joined.
+ * One worker executes inline, with no thread machinery at all — handy
+ * for debugging and for exact single-threaded baselines.
  */
 void parallelFor(unsigned workers, std::size_t n,
                  const std::function<void(std::size_t)> &fn);

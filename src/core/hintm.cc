@@ -86,8 +86,7 @@ describeConfig(const sim::MachineConfig &cfg)
 {
     std::ostringstream os;
     os << "CPU       : " << cfg.numCores << " cores x " << cfg.smtPerCore
-       << " SMT contexts, " << cfg.nonMemCyclesX100 / 100.0
-       << " cycles/non-mem instr\n";
+       << " SMT contexts, 1 cycles/non-mem instr\n";
     os << "L1d       : " << cfg.mem.l1SizeBytes / 1024 << "KB "
        << cfg.mem.l1Assoc << "-way, 64B blocks, " << cfg.mem.l1Latency
        << "-cycle latency\n";

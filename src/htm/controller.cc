@@ -95,20 +95,6 @@ HtmController::HtmController(const HtmConfig &cfg, mem::ContextId self,
 }
 
 void
-HtmController::setInterestHook(std::function<void(bool)> hook)
-{
-    interestHook_ = std::move(hook);
-    publishInterest();
-}
-
-void
-HtmController::publishInterest()
-{
-    if (interestHook_)
-        interestHook_(inTx_ && !abortPending_);
-}
-
-void
 HtmController::attachL1(mem::MemorySystem *mem)
 {
     if (cfg_.kind != HtmKind::L1TM)
@@ -125,7 +111,6 @@ HtmController::beginTx(Cycle now)
     inTx_ = true;
     txStart_ = now;
     ++stats_->begins;
-    publishInterest();
 }
 
 std::uint8_t
@@ -373,7 +358,6 @@ HtmController::triggerAbort(AbortReason r, Addr offending_addr,
     lastAbortAddr_ = offending_addr;
     lastAbortAddrValid_ = addr_valid;
     lastAbortCtx_ = offender;
-    publishInterest(); // a dead TX no longer listens
     // Restore memory values immediately so that the access which killed
     // this TX observes pre-transactional data.
     if (undoHook_)
@@ -406,7 +390,6 @@ HtmController::clearTxState()
     overflowReads_.clear();
     signature_.clear();
     safePages_.clear();
-    publishInterest();
 }
 
 } // namespace htm

@@ -150,15 +150,6 @@ class HtmController : public mem::SnoopListener
     void attachL1(mem::MemorySystem *mem);
 
     /**
-     * Hook publishing whether this controller currently needs coherence
-     * events (it does exactly while in an un-aborted TX — see the early
-     * returns in onRemoteAccess/onEviction). The memory system uses it to
-     * skip listener delivery for uninterested contexts. Invoked once
-     * immediately with the current state, then on every transition.
-     */
-    void setInterestHook(std::function<void(bool)> hook);
-
-    /**
      * Hook fired whenever this controller signals an abort into a
      * running TX (conflicts, evictions, fallback-lock handoff,
      * page-mode aborts — every triggerAbort() path). The scheduler
@@ -285,13 +276,11 @@ class HtmController : public mem::SnoopListener
     void triggerAbort(AbortReason r, Addr offending_addr,
                       bool addr_valid, std::int32_t offender);
     void clearTxState();
-    void publishInterest();
 
     HtmConfig cfg_;
     mem::ContextId self_;
     HtmStats *stats_;
     std::function<void()> undoHook_;
-    std::function<void(bool)> interestHook_;
     std::function<void()> wakeHook_;
     HintOracle *oracle_ = nullptr;
     mem::Directory *dir_ = nullptr;

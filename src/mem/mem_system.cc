@@ -75,23 +75,8 @@ MemorySystem::setListener(ContextId ctx, SnoopListener *listener)
 {
     contexts_.at(ctx).listener = listener;
     // A plain observer expects every event; transactional controllers
-    // lower their interest themselves once hooked up.
-    setListenerInterest(ctx, listener != nullptr);
+    // opt into tracker filtering themselves once hooked up.
     setListenerTxFiltered(ctx, listener == nullptr);
-}
-
-void
-MemorySystem::setListenerInterest(ContextId ctx, bool interested)
-{
-    HINTM_ASSERT(ctx >= 0 && ctx < ContextId(contexts_.size()),
-                 "bad context ", ctx);
-    if (unsigned(ctx) >= maskBits)
-        return; // broadcast mode; interest mask unused
-    const std::uint64_t bit = std::uint64_t(1) << unsigned(ctx);
-    if (interested)
-        interestMask_ |= bit;
-    else
-        interestMask_ &= ~bit;
 }
 
 void
@@ -255,10 +240,7 @@ MemorySystem::notifyBus(ContextId requester, Addr block, AccessType type)
         // signature that may alias any block. Tracker-filtered HTM
         // listeners treat every other event as a no-op, so skipping
         // them is behavior-preserving.
-        std::uint64_t relevant = fullDeliveryMask_ | dir_.txTrackers(block);
-        if (type == AccessType::Write)
-            relevant |= dir_.sigActiveMask();
-        std::uint64_t m = interestMask_ & ~l1CtxMask_[l1] & relevant;
+        std::uint64_t m = ~l1CtxMask_[l1] & deliveryMask(block, type);
         while (m) {
             const ContextId c = ContextId(std::countr_zero(m));
             m &= m - 1;
@@ -282,8 +264,12 @@ MemorySystem::notifySiblings(ContextId requester, Addr block,
 {
     const unsigned l1 = contexts_[requester].l1;
     if (dirOn_) {
-        std::uint64_t m = interestMask_ & l1CtxMask_[l1] &
-                          ~(std::uint64_t(1) << unsigned(requester));
+        // The same rule as notifyBus(); most machines have no SMT
+        // siblings, so the directory is consulted only when some exist.
+        std::uint64_t m =
+            l1CtxMask_[l1] & ~(std::uint64_t(1) << unsigned(requester));
+        if (m)
+            m &= deliveryMask(block, type);
         while (m) {
             const ContextId c = ContextId(std::countr_zero(m));
             m &= m - 1;
@@ -305,7 +291,10 @@ void
 MemorySystem::notifyEviction(unsigned l1, Addr block, bool dirty)
 {
     if (dirOn_) {
-        std::uint64_t m = interestMask_ & l1CtxMask_[l1];
+        // Only a context tracking the block can lose state to its
+        // eviction.
+        std::uint64_t m = l1CtxMask_[l1] &
+                          (fullDeliveryMask_ | dir_.txTrackers(block));
         while (m) {
             const ContextId c = ContextId(std::countr_zero(m));
             m &= m - 1;

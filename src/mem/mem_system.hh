@@ -112,26 +112,17 @@ class MemorySystem
 
     /**
      * Attach the HTM-side observer for a context (may be null). A fresh
-     * listener starts *interested* (it receives every event, as a plain
-     * observer expects) and *unfiltered* (directory tracker masks are
-     * not consulted for it); transactional controllers lower their
-     * interest via setListenerInterest() and opt into tracker filtering
-     * via setListenerTxFiltered().
+     * listener starts *unfiltered*: it receives every event, as a plain
+     * observer expects. Transactional controllers opt into tracker
+     * filtering via setListenerTxFiltered().
      */
     void setListener(ContextId ctx, SnoopListener *listener);
 
     /**
-     * Declare whether @p ctx's listener currently needs coherence events
-     * (onRemoteAccess/onEviction). Uninterested listeners are skipped
-     * entirely on the fast path; since HTM controllers ignore events
-     * outside transactions anyway, gating is behavior-preserving.
-     */
-    void setListenerInterest(ContextId ctx, bool interested);
-
-    /**
      * Opt @p ctx's listener into directory tracker-filtered delivery:
-     * bus events reach it only when the directory records the context as
-     * tracking the block (or, for writes, as signature-active). Only
+     * remote accesses (bus or same-L1 sibling) and evictions reach it
+     * only when the directory records the context as tracking the
+     * block, plus, for writes, while it is signature-active. Only
      * valid for listeners whose event handling is a no-op on untracked
      * blocks — i.e. HTM controllers, which register every tracked block
      * with the directory. Plain observers must stay unfiltered.
@@ -194,7 +185,8 @@ class MemorySystem
     /** Probe a context's L1 for a block (testing aid). */
     const CacheLine *probeL1(ContextId ctx, Addr addr) const;
 
-    /** True when the directory + interest gating are in effect. */
+    /** True when the directory + tracker-filtered delivery are in
+     * effect. */
     bool directoryActive() const { return dirOn_; }
 
     /** The owning directory, or null in broadcast mode. Controllers use
@@ -225,9 +217,6 @@ class MemorySystem
                    : unsigned(blockNumber(addr) % numaNodes_);
     }
 
-    /** Current interested-listener mask, bit = context id (testing aid). */
-    std::uint64_t listenerInterestMask() const { return interestMask_; }
-
     stats::StatGroup &statGroup() { return stats_; }
     const MemConfig &config() const { return cfg_; }
 
@@ -256,6 +245,18 @@ class MemorySystem
     /** Snoop peer L1s for a bus transaction; returns true if any peer had
      * a valid copy (decides Exclusive vs Shared fill). */
     bool snoopPeers(unsigned requester_l1, Addr block, BusOp op);
+
+    /** Contexts that may act on a remote @p type access to @p block:
+     * unfiltered listeners, the block's trackers and, for writes,
+     * signature-active contexts (directory mode only). */
+    std::uint64_t
+    deliveryMask(Addr block, AccessType type) const
+    {
+        std::uint64_t m = fullDeliveryMask_ | dir_.txTrackers(block);
+        if (type == AccessType::Write)
+            m |= dir_.sigActiveMask();
+        return m;
+    }
 
     /** Deliver onRemoteAccess to every context except the requester. */
     void notifyBus(ContextId requester, Addr block, AccessType type);
@@ -306,7 +307,6 @@ class MemorySystem
     Directory dir_;
     AccessObserver *observer_ = nullptr;
     MetricsRegistry *metrics_ = nullptr;
-    std::uint64_t interestMask_ = 0;
     /** Contexts whose listeners must see every bus event (not opted
      * into tracker filtering). */
     std::uint64_t fullDeliveryMask_ = 0;

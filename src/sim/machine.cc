@@ -113,13 +113,6 @@ class Machine
             // L1TM keeps the TX's tracking bits in its L1's lines, so
             // tracked lines are sticky (other kinds ignore this).
             cs.htm->attachL1(mem_.get());
-            // Interest gating: the memory system only delivers coherence
-            // events to this context while its controller is in a live TX.
-            cs.htm->setInterestHook(
-                [mem = mem_.get(), t](bool interested) {
-                    mem->setListenerInterest(mem::ContextId(t),
-                                             interested);
-                });
             ctxs_.push_back(std::move(cs));
         }
         if (mem::Directory *dir = mem_->directory()) {
@@ -132,8 +125,11 @@ class Machine
                 mem_->setListenerTxFiltered(mem::ContextId(t), true);
             }
         }
-        useSchedIndex_ =
-            cfg.schedIndex && ctxs_.size() <= SchedIndex::maxContexts;
+        // A controlled run (at most 64 threads) always picks through
+        // the index: schedIndex = false selects the reference scan for
+        // controller-free runs only.
+        useSchedIndex_ = (cfg.schedIndex || ctrl_) &&
+                         ctxs_.size() <= SchedIndex::maxContexts;
         if (useSchedIndex_) {
             rebuildSchedIndex();
             waiters_.reset(unsigned(ctxs_.size()));
@@ -271,71 +267,32 @@ class Machine
     runControlled(std::uint64_t commit_target)
     {
         const unsigned n = unsigned(ctxs_.size());
-        while (res_.committedTxs < commit_target) {
-            int w = -1;
-            Cycle key = 0;
-            if (useSchedIndex_) {
-                if (!sched_.anyLive())
-                    break;
-                const SchedIndex::Pick p = sched_.pick(
-                    rr_, [this](std::uint64_t mask, unsigned r) {
-                        return ctrl_->chooseTie(mask, r);
-                    });
-                if (p.winner < 0) {
-                    // Everything else is blocked: hand the machine
-                    // back to the preempted context.
-                    if (releasePreempted())
-                        continue;
-                    deadlockPanic();
-                }
-                w = p.winner;
-                key = p.key;
-            } else {
-                Cycle best_t = farFuture;
-                std::uint64_t tie = 0;
-                unsigned live = 0;
-                for (unsigned c = 0; c < n; ++c) {
-                    const ContextState &cs = ctxs_[c];
-                    if (cs.done)
-                        continue;
-                    ++live;
-                    if (cs.atBarrier || cs.preempted)
-                        continue;
-                    const std::uint64_t bit = std::uint64_t(1) << c;
-                    if (cs.readyAt < best_t) {
-                        best_t = cs.readyAt;
-                        tie = bit;
-                    } else if (cs.readyAt == best_t) {
-                        tie |= bit;
-                    }
-                }
-                if (live == 0)
-                    break;
-                if (tie == 0) {
-                    if (releasePreempted())
-                        continue;
-                    deadlockPanic();
-                }
-                w = int(ctrl_->chooseTie(tie, rr_));
-                HINTM_ASSERT(w >= 0 && w < int(n) && (tie >> w & 1),
-                             "tie-break chose an ineligible context");
-                key = best_t;
+        while (res_.committedTxs < commit_target && sched_.anyLive()) {
+            const SchedIndex::Pick p =
+                sched_.pick(rr_, [this](std::uint64_t mask, unsigned r) {
+                    return ctrl_->chooseTie(mask, r);
+                });
+            if (p.winner < 0) {
+                // Everything else is blocked: hand the machine back to
+                // the preempted context.
+                if (releasePreempted())
+                    continue;
+                deadlockPanic();
             }
-            ContextState &cs = ctxs_[unsigned(w)];
-            now_ = std::max(now_, key);
+            const unsigned w = unsigned(p.winner);
+            ContextState &cs = ctxs_[w];
+            now_ = std::max(now_, p.key);
             pendingEv_ = -1;
-            step(unsigned(w), now_);
-            rr_ = unsigned(w) + 1 == n ? 0 : unsigned(w) + 1;
-            if (useSchedIndex_) {
-                if (cs.done)
-                    sched_.retire(unsigned(w));
-                else if (cs.atBarrier || cs.preempted)
-                    sched_.block(unsigned(w), cs.readyAt);
-                else
-                    sched_.setReady(unsigned(w), cs.readyAt);
-            }
+            step(w, now_);
+            rr_ = w + 1 == n ? 0 : w + 1;
+            if (cs.done)
+                sched_.retire(w);
+            else if (cs.atBarrier || cs.preempted)
+                sched_.block(w, cs.readyAt);
+            else
+                sched_.setReady(w, cs.readyAt);
             if (pendingEv_ >= 0)
-                decisionPoint(unsigned(w), SchedEvent(pendingEv_));
+                decisionPoint(w, SchedEvent(pendingEv_));
         }
     }
 
@@ -351,7 +308,7 @@ class Machine
             cs.preempted = true;
             changed = true;
         }
-        if (changed && useSchedIndex_)
+        if (changed)
             rebuildSchedIndex();
     }
 
@@ -412,10 +369,11 @@ class Machine
     }
 
   private:
-    Cycle
-    simpleCost(const tir::Step &st) const
+    /** Non-memory instructions retire at a CPI of 1. */
+    static Cycle
+    simpleCost(const tir::Step &st)
     {
-        return (st.simpleInstrs * cfg_.nonMemCyclesX100 + 99) / 100;
+        return st.simpleInstrs;
     }
 
     /** Execute the init function functionally (no simulated time). */
@@ -903,7 +861,7 @@ class Machine
         // Preemption changes are rare (bounded per run) and can move a
         // readyAt behind an open tie bucket, so re-derive the index
         // rather than teaching its monotone fast paths about the past.
-        if (any && useSchedIndex_)
+        if (any)
             rebuildSchedIndex();
         return any;
     }
@@ -1060,7 +1018,8 @@ class Machine
      * stop at a commit target and resume). */
     Cycle now_ = 0;
     unsigned rr_ = 0;
-    /** Event-driven ready-context index (cfg.schedIndex, <=64 ctxs). */
+    /** Event-driven ready-context index (cfg.schedIndex or a
+     * controller, <=64 ctxs). */
     SchedIndex sched_;
     bool useSchedIndex_ = false;
     /** Fallback-lock waiters parked by the indexed run loop; empty

@@ -57,8 +57,6 @@ struct MachineConfig
 
     /** Transient-abort retries before taking the fallback lock. */
     unsigned maxRetries = 8;
-    /** Cycles charged per non-memory instruction (x100: 100 = CPI 1). */
-    unsigned nonMemCyclesX100 = 100;
 
     std::uint64_t seed = 1;
 
@@ -77,9 +75,11 @@ struct MachineConfig
     bool decodeCache = true;
     /** Pick runnable contexts through the event-driven scheduler index
      * (bitmask + min-heap pick with batched stepping); false selects
-     * the reference O(contexts) rotating scan. Behavior-preserving:
-     * the step sequence and results are bit-identical either way.
-     * Machines with more than 64 contexts always use the scan. */
+     * the reference O(contexts) rotating scan for a run without a
+     * scheduleController (a controlled run always picks through the
+     * index). Behavior-preserving: the step sequence and results are
+     * bit-identical either way. Machines with more than 64 contexts
+     * always use the scan. */
     bool schedIndex = true;
     /** Shadow-track safe-hinted accesses and report any that overlap a
      * remote write (dynamic hint-soundness oracle). Observation only:

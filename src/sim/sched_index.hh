@@ -25,17 +25,12 @@
  *    fallback-lock convoys put most of the machine at one readyAt;
  *    serving those picks straight from the bucket keeps the per-step
  *    cost O(1) where bucket-free lazy deletion would degrade to
- *    O(ties log n) — worse than the scan it replaces. A second bucket
- *    catches republishes that land on a common future key (lockstep
- *    contexts advance by identical deltas), so steady-state lockstep
- *    runs entirely on mask operations with no heap traffic at all.
- *    Bucket bits are maintained eagerly (cleared the moment a member's
- *    readyAt or eligibility changes); buckets are a pure heap bypass —
- *    pick() re-derives the true minimum from bucket keys and the heap
- *    top, so any eligible context is findable through exactly one of
- *    the two masks or a valid heap entry.
+ *    O(ties log n) — worse than the scan it replaces. Bucket bits are
+ *    maintained eagerly (cleared the moment a member's readyAt or
+ *    eligibility changes), so any eligible context is findable through
+ *    the bucket mask or a valid heap entry.
  *
- *  - Small machines (≤ denseContexts) skip the heap and buckets
+ *  - Small machines (≤ denseContexts) skip the heap and bucket
  *    entirely: the readyAt mirror is one or two cache lines, so pick()
  *    scans it densely — cheaper than any incremental structure at that
  *    size, and still cheaper than the reference scan, which walks the
@@ -113,8 +108,6 @@ class SchedIndex
         eligible_ = 0;
         tie_ = 0;
         tieKey_ = 0;
-        next_ = 0;
-        nextKey_ = 0;
     }
 
     /** Register context @p c from its full scheduler-visible state
@@ -140,8 +133,8 @@ class SchedIndex
     }
 
     /** Eligible context @p c moved its readyAt (or a batch on it just
-     * closed): publish the exact new key. Landing on a bucket key joins
-     * that bucket for free; anything else goes to the heap. */
+     * closed): publish the exact new key. Landing on the bucket key
+     * joins the bucket for free; anything else goes to the heap. */
     void
     setReady(unsigned c, Cycle t)
     {
@@ -153,10 +146,6 @@ class SchedIndex
             if (t == tieKey_)
                 return;
             tie_ &= ~bit;
-        } else if (next_ & bit) {
-            if (t == nextKey_)
-                return;
-            next_ &= ~bit;
         }
         place(c, bit, t);
     }
@@ -170,7 +159,6 @@ class SchedIndex
         ready_[c] = t;
         eligible_ &= ~bit;
         tie_ &= ~bit;
-        next_ &= ~bit;
     }
 
     /** @p c released from a barrier or woken from a lock wait: back in
@@ -195,7 +183,6 @@ class SchedIndex
         live_ &= ~bit;
         eligible_ &= ~bit;
         tie_ &= ~bit;
-        next_ &= ~bit;
     }
 
     /** The key the next pick() returns (the earliest eligible readyAt),
@@ -216,8 +203,6 @@ class SchedIndex
     }
 
     bool anyLive() const { return live_ != 0; }
-    std::uint64_t liveMask() const { return live_; }
-    std::uint64_t eligibleMask() const { return eligible_; }
 
     /**
      * Pop the earliest eligible context, breaking equal-readyAt ties
@@ -271,15 +256,11 @@ class SchedIndex
         tie_ &= ~(std::uint64_t(1) << w);
         p.winner = int(w);
         p.key = t;
-        if (tie_) {
+        if (tie_)
             p.bound = t;
-        } else {
-            // Everyone else sits in the next bucket or the heap.
-            p.bound = next_ ? nextKey_
-                            : std::numeric_limits<Cycle>::max();
-            if (dropStale())
-                p.bound = std::min(p.bound, heap_.front().key);
-        }
+        else // everyone else sits in the heap
+            p.bound = dropStale() ? heap_.front().key
+                                  : std::numeric_limits<Cycle>::max();
         return p;
     }
 
@@ -336,49 +317,27 @@ class SchedIndex
         }
     };
 
-    /** File an eligible context under the exact key @p t: the live
-     * bucket if it matches, the next bucket if it matches (or starts
-     * it), the heap otherwise. The caller has already removed @p c
-     * from both masks. */
+    /** File an eligible context under the exact key @p t: the open
+     * bucket if it matches, the heap otherwise. The caller has already
+     * removed @p c from the bucket. */
     void
     place(unsigned c, std::uint64_t bit, Cycle t)
     {
-        if (tie_) {
-            if (t == tieKey_) {
-                tie_ |= bit;
-                return;
-            }
-            if (next_ == 0 && t > tieKey_) {
-                next_ = bit;
-                nextKey_ = t;
-                return;
-            }
-        }
-        if (next_ && t == nextKey_) {
-            next_ |= bit;
-            return;
-        }
-        push(c, t);
+        if (tie_ && t == tieKey_)
+            tie_ |= bit;
+        else
+            push(c, t);
     }
 
-    /** Open the live bucket at the true minimum over the next bucket
-     * and the heap, absorbing every context tied there. The
-     * one-slot-per-eligible-context invariant guarantees they all
-     * surface. Leaves tie_ empty only when nothing is eligible. */
+    /** Open the bucket at the heap's minimum, absorbing every context
+     * tied there. The one-entry-per-eligible-context invariant
+     * guarantees they all surface. Leaves tie_ empty only when nothing
+     * is eligible. */
     void
     openBucket()
     {
-        const bool heap_ok = dropStale();
-        const Cycle hk = heap_ok ? heap_.front().key
-                                 : std::numeric_limits<Cycle>::max();
-        if (next_ && nextKey_ <= hk) {
-            tieKey_ = nextKey_;
-            tie_ = next_;
-            next_ = 0;
-            if (heap_ok && hk == tieKey_)
-                absorbTies();
-        } else if (heap_ok) {
-            tieKey_ = hk;
+        if (dropStale()) {
+            tieKey_ = heap_.front().key;
             absorbTies();
         }
     }
@@ -435,12 +394,6 @@ class SchedIndex
      * contexts (bits are cleared eagerly on every state change). */
     std::uint64_t tie_ = 0;
     Cycle tieKey_ = 0;
-    /** Contexts whose readyAt is exactly nextKey_ — republishes that
-     * landed on a common future key (lockstep advance). A pure heap
-     * bypass: openBucket() takes the minimum of nextKey_ and the heap
-     * top, so nextKey_ need not be the true second-smallest key. */
-    std::uint64_t next_ = 0;
-    Cycle nextKey_ = 0;
 };
 
 } // namespace sim

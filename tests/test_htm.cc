@@ -472,91 +472,33 @@ TEST(AbortTaxonomy, TransienceClassification)
     EXPECT_FALSE(abortIsTransient(AbortReason::Capacity));
 }
 
-// ---- interest hook: the controller publishes exactly when it needs
-// coherence events (in a live TX), matching its own early-return
-// predicate in onRemoteAccess/onEviction ---------------------------
-
-TEST(Controller, InterestHookPublishesImmediatelyAndOnBeginCommit)
-{
-    ControllerFixture f(HtmKind::P8);
-    bool interested = true;
-    unsigned calls = 0;
-    f.ctl->setInterestHook([&](bool on) {
-        interested = on;
-        ++calls;
-    });
-    // Installed outside a TX: published false right away.
-    EXPECT_EQ(calls, 1u);
-    EXPECT_FALSE(interested);
-
-    f.ctl->beginTx(0);
-    EXPECT_TRUE(interested);
-    f.ctl->commitTx(10);
-    EXPECT_FALSE(interested);
-}
-
-TEST(Controller, InterestDropsAtAbortNotAtAcknowledge)
-{
-    ControllerFixture f(HtmKind::P8);
-    bool interested = false;
-    f.ctl->setInterestHook([&](bool on) { interested = on; });
-
-    f.ctl->beginTx(0);
-    EXPECT_TRUE(interested);
-    // The instant the abort fires the controller ignores all further
-    // events, so interest must drop with it — not at acknowledge time.
-    f.ctl->requestAbort(AbortReason::FallbackLock);
-    EXPECT_FALSE(interested);
-    f.ctl->acknowledgeAbort(50);
-    EXPECT_FALSE(interested);
-}
-
-TEST(Controller, InterestSurvivesFallbackSubscribeUntilConversion)
-{
-    ControllerFixture f(HtmKind::P8, 2);
-    f.cfg.preAbortHandler = true;
-    f.ctl = std::make_unique<HtmController>(f.cfg, 0, &f.stats);
-    bool interested = false;
-    f.ctl->setInterestHook([&](bool on) { interested = on; });
-
-    f.ctl->beginTx(0);
-    // Lock subscription: the fallback-lock word joins the readset, so
-    // the TX stays interested while subscribed.
-    f.ctl->trackAccess(blk(1), AccessType::Read, false);
-    EXPECT_TRUE(interested);
-
-    // Overflow with the pre-abort handler: capacity pends but the TX is
-    // still live (and must still see a lock write to be conflicted out).
-    f.ctl->trackAccess(blk(2), AccessType::Read, false);
-    f.ctl->trackAccess(blk(3), AccessType::Write, false);
-    ASSERT_TRUE(f.ctl->capacityPending());
-    EXPECT_TRUE(interested);
-
-    // Conversion to a critical section stops hardware monitoring:
-    // events are ignored from here on, so interest drops.
-    f.ctl->convertToCriticalSection();
-    EXPECT_FALSE(interested);
-}
+// ---- the delivery rule's premise: the memory system may skip any
+// event for a block the controller does not track, because outside a
+// live TX, after an abort fires, and on untracked blocks (barring a
+// P8S signature) the controller ignores it --------------------------
 
 TEST(Controller, InterestMatchesEventProcessingPredicate)
 {
-    // Property: whenever the hook says "uninterested", delivering an
-    // event anyway must be a no-op (gating can never change behavior).
     ControllerFixture f(HtmKind::P8, 2);
-    bool interested = false;
-    f.ctl->setInterestHook([&](bool on) { interested = on; });
-
-    ASSERT_FALSE(interested);
     f.ctl->onRemoteAccess(blk(1), AccessType::Write, 1);
-    EXPECT_FALSE(f.ctl->abortPending());
+    EXPECT_FALSE(f.ctl->abortPending()); // outside a TX: ignored
 
     f.ctl->beginTx(0);
     f.ctl->trackAccess(blk(1), AccessType::Read, false);
-    ASSERT_TRUE(interested);
+    ASSERT_TRUE(f.ctl->tracksBlock(blk(1)));
+    ASSERT_FALSE(f.ctl->tracksBlock(blk(2)));
+    f.ctl->onRemoteAccess(blk(2), AccessType::Write, 1);
+    f.ctl->onEviction(blk(2), false);
+    EXPECT_FALSE(f.ctl->abortPending()); // untracked block: ignored
+
     f.ctl->onRemoteAccess(blk(1), AccessType::Write, 1);
-    EXPECT_TRUE(f.ctl->abortPending()); // interested -> event mattered
-    ASSERT_FALSE(interested);           // ...and the abort dropped it
-    f.ctl->onEviction(blk(1), false);   // ignored while abort pending
+    EXPECT_TRUE(f.ctl->abortPending()); // tracked block: the event mattered
+    // The block stays tracked until the abort is acknowledged, but a
+    // dead TX ignores every further event.
+    ASSERT_TRUE(f.ctl->tracksBlock(blk(1)));
+    f.ctl->onRemoteAccess(blk(1), AccessType::Write, 2);
+    EXPECT_EQ(f.ctl->lastAbortCtx(), 1);
+    EXPECT_EQ(f.undoCalls, 1u);
     EXPECT_EQ(f.ctl->pendingReason(), AbortReason::Conflict);
 }
 

@@ -632,54 +632,6 @@ TEST(Numa, PenaltyIsIdenticalWithAndWithoutDirectory)
     EXPECT_EQ(run(true), run(false));
 }
 
-// ---- interest-gated listener delivery ------------------------------
-
-TEST(InterestGating, PlainListenerStartsInterested)
-{
-    MemorySystem ms(smallConfig(), 2);
-    RecordingListener l1;
-    const ContextId c0 = ms.addContext(0);
-    const ContextId c1 = ms.addContext(1);
-    EXPECT_EQ(ms.listenerInterestMask(), 0u);
-    ms.setListener(c1, &l1);
-    EXPECT_EQ(ms.listenerInterestMask(), 0b10u);
-
-    ms.access(c0, 0x80, AccessType::Write);
-    EXPECT_EQ(l1.remote.size(), 1u);
-}
-
-TEST(InterestGating, UninterestedListenerIsSkipped)
-{
-    MemorySystem ms(smallConfig(), 2);
-    RecordingListener l1;
-    const ContextId c0 = ms.addContext(0);
-    const ContextId c1 = ms.addContext(1);
-    ms.setListener(c1, &l1);
-    ms.setListenerInterest(c1, false);
-    EXPECT_EQ(ms.listenerInterestMask(), 0u);
-
-    ms.access(c0, 0x80, AccessType::Write);
-    EXPECT_TRUE(l1.remote.empty());
-
-    // Re-raising interest resumes delivery.
-    ms.setListenerInterest(c1, true);
-    ms.access(c0, 0xC0, AccessType::Write);
-    ASSERT_EQ(l1.remote.size(), 1u);
-    EXPECT_EQ(l1.remote[0].block, 0xC0u);
-}
-
-TEST(InterestGating, EvictionDeliveryIsGatedToo)
-{
-    MemorySystem ms(smallConfig(), 1);
-    RecordingListener l0;
-    const ContextId c0 = ms.addContext(0);
-    ms.setListener(c0, &l0);
-    ms.setListenerInterest(c0, false);
-    for (Addr i = 0; i <= 8; ++i)
-        ms.access(c0, i * 128, AccessType::Read);
-    EXPECT_TRUE(l0.evictions.empty());
-}
-
 // ---- tracker-filtered listener delivery ----------------------------
 
 TEST(TrackerFiltering, FilteredListenerSeesOnlyTrackedBlocks)
@@ -710,6 +662,61 @@ TEST(TrackerFiltering, FilteredListenerSeesOnlyTrackedBlocks)
     dir->setSigActive(unsigned(c1), false);
     ms.access(c0, 0x140, AccessType::Write);
     EXPECT_EQ(l1.remote.size(), 3u);
+}
+
+TEST(TrackerFiltering, SiblingSeesOnlyTrackedAccessesAndSignatureWrites)
+{
+    // Same-L1 siblings obey the bus rule: a filtered sibling hears an
+    // access only to a block it tracks, plus any write while its read
+    // signature is active — L1 hits included.
+    MemorySystem ms(smallConfig(), 1);
+    RecordingListener l1;
+    const ContextId c0 = ms.addContext(0);
+    const ContextId c1 = ms.addContext(0); // SMT sibling, same L1
+    ms.setListener(c1, &l1);
+    ms.setListenerTxFiltered(c1, true);
+    Directory *dir = ms.directory();
+    ASSERT_NE(dir, nullptr);
+    dir->txTrack(0x80, unsigned(c1));
+
+    ms.access(c0, 0x80, AccessType::Read);  // tracked -> delivered
+    ms.access(c0, 0x80, AccessType::Read);  // L1 hit, tracked -> delivered
+    ms.access(c0, 0xC0, AccessType::Read);  // untracked -> skipped
+    ms.access(c0, 0xC0, AccessType::Write); // no signature -> skipped
+    ASSERT_EQ(l1.remote.size(), 2u);
+    EXPECT_EQ(l1.remote[0].block, 0x80u);
+    EXPECT_EQ(l1.remote[1].block, 0x80u);
+
+    dir->setSigActive(unsigned(c1), true);
+    ms.access(c0, 0x100, AccessType::Read);  // untracked read -> skipped
+    ms.access(c0, 0x100, AccessType::Write); // signature write -> delivered
+    ASSERT_EQ(l1.remote.size(), 3u);
+    EXPECT_EQ(l1.remote[2].block, 0x100u);
+    EXPECT_EQ(l1.remote[2].type, AccessType::Write);
+    EXPECT_EQ(l1.remote[2].from, c0);
+}
+
+TEST(TrackerFiltering, SiblingSeesOnlyEvictionsOfTrackedBlocks)
+{
+    // An eviction can only cost a filtered listener a block it tracks;
+    // an active signature does not widen eviction delivery.
+    MemorySystem ms(smallConfig(), 1); // 2 sets x 8 ways
+    RecordingListener l1;
+    const ContextId c0 = ms.addContext(0);
+    const ContextId c1 = ms.addContext(0); // SMT sibling, same L1
+    ms.setListener(c1, &l1);
+    ms.setListenerTxFiltered(c1, true);
+    Directory *dir = ms.directory();
+    ASSERT_NE(dir, nullptr);
+    dir->txTrack(0x80, unsigned(c1));
+    dir->setSigActive(unsigned(c1), true);
+
+    // Ten blocks into one set: the two LRU victims are 0x0 (untracked)
+    // and then 0x80 (tracked).
+    for (Addr i = 0; i < 10; ++i)
+        ms.access(c0, i * 128, AccessType::Read);
+    ASSERT_EQ(l1.evictions.size(), 1u);
+    EXPECT_EQ(l1.evictions[0], 0x80u);
 }
 
 // ---- filtered vs broadcast equivalence at the event level ----------

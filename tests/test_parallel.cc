@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the host-side parallel runner: the thread pool itself,
- * parallelFor, and the determinism guarantees of bench::runMatrix
- * (results must be bit-identical regardless of how many host threads
- * execute the matrix).
+ * Tests for the host-side parallel runner: parallelFor and the
+ * determinism guarantees of bench::runMatrix (results must be
+ * bit-identical regardless of how many host threads execute the
+ * matrix).
  */
 
 #include <atomic>
@@ -17,47 +17,6 @@
 #include "common/parallel.hh"
 
 using namespace hintm;
-
-TEST(ThreadPool, RunsAllSubmittedTasks)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.workers(), 4u);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIsReusable)
-{
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    pool.submit([&] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-    pool.submit([&] { ++count; });
-    pool.submit([&] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 3);
-}
-
-TEST(ThreadPool, DefaultWorkersIsPositive)
-{
-    EXPECT_GE(ThreadPool::defaultWorkers(), 1u);
-}
-
-TEST(ThreadPool, FirstExceptionPropagatesFromWait)
-{
-    ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("boom"); });
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    // The pool survives a failed batch.
-    std::atomic<int> count{0};
-    pool.submit([&] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-}
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce)
 {

@@ -258,7 +258,9 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, DeterminismProperty,
  * distributions, raw stat dumps, final globals — unchanged, for every
  * kernel, backend, machine size and hint mechanism. The 32- and
  * 64-context machines run both flat and with fig_scale's NUMA split
- * (one home node per 16 cores).
+ * (one home node per 16 cores). Broadcast coherence is also checked on
+ * 4 cores x 2 SMT, where tracker filtering decides which same-L1
+ * sibling hears each access and eviction.
  */
 enum class RefPath
 {
@@ -274,6 +276,7 @@ struct RefCase
     std::string kernel;
     htm::HtmKind kind;
     unsigned contexts;
+    unsigned smt;
     unsigned numaNodes;
     core::Mechanism mech;
 };
@@ -285,8 +288,10 @@ PrintTo(const RefCase &c, std::ostream *os)
     static const char *const paths[] = {"Broadcast", "Translate",
                                         "Interpreter", "SchedScan"};
     *os << paths[unsigned(c.path)] << ':' << c.kernel << ':'
-        << htm::htmKindName(c.kind) << ':' << c.contexts << "ctx:"
-        << c.numaNodes << "node:" << core::mechanismName(c.mech);
+        << htm::htmKindName(c.kind) << ':' << c.contexts << "ctx:";
+    if (c.smt > 1)
+        *os << c.smt << "smt:";
+    *os << c.numaNodes << "node:" << core::mechanismName(c.mech);
 }
 
 std::vector<RefCase>
@@ -294,20 +299,25 @@ allRefCases()
 {
     struct Shape
     {
-        unsigned contexts, numaNodes;
+        unsigned contexts, smt, numaNodes;
     };
-    const Shape shapes[] = {{8, 1}, {32, 1}, {32, 2}, {64, 1}, {64, 4}};
+    // The SMT shape runs under the Broadcast path only.
+    const Shape shapes[] = {{8, 1, 1},  {32, 1, 1}, {32, 1, 2},
+                            {64, 1, 1}, {64, 1, 4}, {8, 2, 1}};
     std::vector<RefCase> cases;
     for (const RefPath path : {RefPath::Broadcast, RefPath::Translate,
                                RefPath::Interpreter, RefPath::SchedScan})
         for (const std::string &kernel : workloads::allNames())
             for (const htm::HtmKind kind :
                  {htm::HtmKind::P8, htm::HtmKind::P8S, htm::HtmKind::L1TM})
-                for (const Shape &s : shapes)
+                for (const Shape &s : shapes) {
+                    if (s.smt > 1 && path != RefPath::Broadcast)
+                        continue;
                     for (const core::Mechanism mech :
                          {core::Mechanism::Baseline, core::Mechanism::Full})
                         cases.push_back({path, kernel, kind, s.contexts,
-                                         s.numaNodes, mech});
+                                         s.smt, s.numaNodes, mech});
+                }
     return cases;
 }
 
@@ -329,7 +339,8 @@ TEST_P(ReferencePathEquivalence, FastPathMatchesReferenceExactly)
     core::SystemOptions opts;
     opts.htmKind = c.kind;
     opts.mechanism = c.mech;
-    opts.numCores = c.contexts;
+    opts.numCores = c.contexts / c.smt;
+    opts.smtPerCore = c.smt;
     opts.numaNodes = c.numaNodes;
     opts.collectTxSizes = true;
     opts.collectRawStats = true;

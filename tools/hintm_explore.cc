@@ -35,7 +35,7 @@ namespace
 {
 
 [[noreturn]] void
-usage(int code)
+usage()
 {
     std::printf(
         "usage: hintm_explore [options]\n"
@@ -65,8 +65,8 @@ usage(int code)
         "  --list              list explorable workloads and exit\n"
         "\n"
         "exit status: 0 = no fatal violation, 1 = fatal violation found,\n"
-        "2 = usage or I/O error\n");
-    std::exit(code);
+        "2 = bad flag, bad input or I/O error\n");
+    std::exit(0);
 }
 
 /** Everything needed to rebuild a run from a schedule file. */
@@ -129,10 +129,8 @@ buildWorkload(const Setup &s)
         return workloads::buildConvoy(s.scale, s.threads);
     if (s.workload == "hintrace")
         return workloads::buildHintRace(s.scale, s.threads, s.bug);
-    std::fprintf(stderr, "unknown workload '%s' (want convoy or "
-                         "hintrace)\n",
-                 s.workload.c_str());
-    std::exit(2);
+    HINTM_FATAL("unknown workload '", s.workload,
+                "' (want convoy or hintrace)");
 }
 
 sim::MachineConfig
@@ -259,14 +257,16 @@ run(int argc, char **argv)
         const std::string a = argv[i];
         auto next = [&]() -> const char * {
             if (i + 1 >= argc)
-                usage(2);
+                HINTM_FATAL(a, " needs a value");
             return argv[++i];
         };
         if (a == "--workload") {
             s.workload = next();
         } else if (a == "--scale") {
-            if (!workloads::scaleByName(next(), s.scale))
-                usage(2);
+            const std::string v = next();
+            if (!workloads::scaleByName(v, s.scale))
+                HINTM_FATAL("--scale expects tiny, small or large, got '",
+                            v, "'");
         } else if (a == "--tiny" || a == "--small" || a == "--large") {
             workloads::scaleByName(a.substr(2), s.scale);
         } else if (a == "--threads") {
@@ -299,10 +299,9 @@ run(int argc, char **argv)
             std::printf("convoy\nhintrace\n");
             return 0;
         } else if (a == "--help" || a == "-h") {
-            usage(0);
+            usage();
         } else {
-            std::fprintf(stderr, "unknown option %s\n", a.c_str());
-            usage(2);
+            HINTM_FATAL("unknown option ", a, " (see --help)");
         }
     }
 

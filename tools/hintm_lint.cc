@@ -36,7 +36,7 @@ namespace
 {
 
 [[noreturn]] void
-usage(int code)
+usage()
 {
     std::printf(
         "usage: hintm_lint [options]\n"
@@ -49,7 +49,7 @@ usage(int code)
         "code)\n"
         "  --seed N            seed for --mutate bit selection\n"
         "  --list              list workloads and exit\n");
-    std::exit(code);
+    std::exit(0);
 }
 
 /** Candidate hint bit to corrupt: a currently-unsafe access. */
@@ -171,14 +171,16 @@ run(int argc, char **argv)
         const std::string a = argv[i];
         auto next = [&]() -> const char * {
             if (i + 1 >= argc)
-                usage(1);
+                HINTM_FATAL(a, " needs a value");
             return argv[++i];
         };
         if (a == "--workload") {
             workload = next();
         } else if (a == "--scale") {
-            if (!workloads::scaleByName(next(), scale))
-                usage(1);
+            const std::string v = next();
+            if (!workloads::scaleByName(v, scale))
+                HINTM_FATAL("--scale expects tiny, small or large, got '",
+                            v, "'");
         } else if (a == "--tiny") {
             scale = workloads::Scale::Tiny;
         } else if (a == "--static-only") {
@@ -192,10 +194,9 @@ run(int argc, char **argv)
                 std::printf("%s\n", n.c_str());
             return 0;
         } else if (a == "--help" || a == "-h") {
-            usage(0);
+            usage();
         } else {
-            std::fprintf(stderr, "unknown option %s\n", a.c_str());
-            usage(1);
+            HINTM_FATAL("unknown option ", a, " (see --help)");
         }
     }
 

@@ -40,7 +40,7 @@ namespace
 {
 
 [[noreturn]] void
-usage(int code)
+usage()
 {
     std::printf(
         "usage: hintm_report [options]\n"
@@ -61,7 +61,7 @@ usage(int code)
         "  --html              write a self-contained HTML report\n"
         "  -o FILE             output file (default: stdout)\n"
         "  --jobs N            host threads for the runner\n");
-    std::exit(code);
+    std::exit(0);
 }
 
 /** One report table, renderable as text or HTML. */
@@ -181,19 +181,23 @@ run(int argc, char **argv)
         const std::string a = argv[i];
         auto next = [&]() -> const char * {
             if (i + 1 >= argc)
-                usage(1);
+                HINTM_FATAL(a, " needs a value");
             return argv[++i];
         };
         if (a == "--workload") {
             workload = next();
         } else if (a == "--scale") {
-            if (!workloads::scaleByName(next(), scale))
-                usage(1);
+            const std::string v = next();
+            if (!workloads::scaleByName(v, scale))
+                HINTM_FATAL("--scale expects tiny, small or large, got '",
+                            v, "'");
         } else if (a == "--tiny" || a == "--small" || a == "--large") {
             workloads::scaleByName(a.substr(2), scale);
         } else if (a == "--htm") {
-            if (!htm::htmKindByName(next(), base.htmKind))
-                usage(1);
+            const std::string v = next();
+            if (!htm::htmKindByName(v, base.htmKind))
+                HINTM_FATAL("--htm expects p8, p8s, l1tm or infcap, got '",
+                            v, "'");
         } else if (a == "--threads") {
             threads = parseFlag<unsigned>(a, next());
         } else if (a == "--seed") {
@@ -213,10 +217,9 @@ run(int argc, char **argv)
         } else if (a == "--jobs") {
             host_jobs = parseFlag<unsigned>(a, next());
         } else if (a == "--help" || a == "-h") {
-            usage(0);
+            usage();
         } else {
-            std::fprintf(stderr, "unknown option %s\n", a.c_str());
-            usage(1);
+            HINTM_FATAL("unknown option ", a, " (see --help)");
         }
     }
 

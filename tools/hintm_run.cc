@@ -30,7 +30,7 @@ namespace
 {
 
 [[noreturn]] void
-usage(int code)
+usage()
 {
     std::printf(
         "usage: hintm_run [options]\n"
@@ -79,7 +79,7 @@ usage(int code)
         "transaction (default 24)\n"
         "  --trace CATS        trace categories (tx,vm,sched,journal|all)\n"
         "  --list              list workloads and exit\n");
-    std::exit(code);
+    std::exit(0);
 }
 
 } // namespace
@@ -99,19 +99,23 @@ run(int argc, char **argv)
         const std::string a = argv[i];
         auto next = [&]() -> const char * {
             if (i + 1 >= argc)
-                usage(1);
+                HINTM_FATAL(a, " needs a value");
             return argv[++i];
         };
         if (a == "--workload") {
             workload = next();
         } else if (a == "--scale") {
-            if (!workloads::scaleByName(next(), scale))
-                usage(1);
+            const std::string v = next();
+            if (!workloads::scaleByName(v, scale))
+                HINTM_FATAL("--scale expects tiny, small or large, got '",
+                            v, "'");
         } else if (a == "--tiny" || a == "--small" || a == "--large") {
             workloads::scaleByName(a.substr(2), scale);
         } else if (a == "--htm") {
-            if (!htm::htmKindByName(next(), opts.htmKind))
-                usage(1);
+            const std::string v = next();
+            if (!htm::htmKindByName(v, opts.htmKind))
+                HINTM_FATAL("--htm expects p8, p8s, l1tm or infcap, got '",
+                            v, "'");
         } else if (a == "--mech") {
             const std::string s = next();
             if (s == "baseline")
@@ -123,7 +127,8 @@ run(int argc, char **argv)
             else if (s == "full")
                 opts.mechanism = core::Mechanism::Full;
             else
-                usage(1);
+                HINTM_FATAL("--mech expects baseline, static, dyn or full, "
+                            "got '", s, "'");
         } else if (a == "--threads") {
             threads = parseFlag<unsigned>(a, next());
         } else if (a == "--cores") {
@@ -152,7 +157,8 @@ run(int argc, char **argv)
                 opts.conflictPolicy =
                     htm::ConflictPolicy::RequesterLoses;
             else
-                usage(1);
+                HINTM_FATAL("--policy expects attacker or requester, got '",
+                            s, "'");
         } else if (a == "--validate") {
             opts.validateSafeStores = true;
         } else if (a == "--profile") {
@@ -192,14 +198,13 @@ run(int argc, char **argv)
                 std::printf("%s\n", n.c_str());
             return 0;
         } else if (a == "--help" || a == "-h") {
-            usage(0);
+            usage();
         } else {
-            std::fprintf(stderr, "unknown option %s\n", a.c_str());
-            usage(1);
+            HINTM_FATAL("unknown option ", a, " (see --help)");
         }
     }
     if (workload.empty())
-        usage(1);
+        HINTM_FATAL("--workload needs a workload name");
 
     opts.profileSharing = profile;
     opts.collectTxSizes = cdf;
