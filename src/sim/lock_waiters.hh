@@ -1,35 +1,46 @@
 /**
  * @file
- * Fallback-lock waiters parked outside the scheduler index. While the
- * global fallback lock is held, a context whose TxBegin found it taken
- * re-checks it every period. Every re-check after the first is a
- * zero-cost step that changes only three things: the waiter's own
- * readyAt (+period), the scheduler clock and the round-robin cursor
- * rr. The indexed machine loop therefore parks each waiter here after
- * its first re-check and replays only the cursor:
+ * Fallback-lock waiters parked outside the scheduler index. A context
+ * whose TxBegin finds the global fallback lock taken re-checks it every
+ * period. Every re-check after the first is a zero-cost step that
+ * changes only three things: the waiter's own readyAt (+period), the
+ * scheduler clock and the round-robin cursor rr. The indexed machine
+ * loop therefore parks each waiter here after its first re-check and
+ * steps none of the later ones:
  *
- *  - Waiters due at one cycle form a *phase group* (a context mask).
- *    Groups are kept sorted by cycle and merge when they meet, because
- *    waiters due at one cycle tie in one rotation.
+ *  - A waiter keeps its *phase* (re-check cycle mod the period) while
+ *    it waits, so waiters are filed by phase, each with the cycle of its
+ *    first parked re-check. The waiters due at one cycle form a *group*:
+ *    they tie in one rotation.
  *
- *  - A group due before the next real pick's key re-checks in
- *    rotation order from rr, so rr ends one past the last member that
- *    sweep reaches (the highest member below rr, else the highest
- *    member), and the group moves one period on.
+ *  - Re-checks are settled lazily against a *settle point* S: every
+ *    re-check before S has happened and none at or after S has, except
+ *    the members of S's group that re-checked ahead of the context that
+ *    stepped at S. A waiter is due at the first cycle of its phase at or
+ *    after both S and its first re-check. Moving S costs O(1), which is
+ *    how the machine settles re-checks whose only effect, on rr, the
+ *    next real step overwrites.
  *
- *  - A group due exactly at a real pick's key splits at the real winner
- *    w: members the sweep from rr reaches before w re-check first and
- *    move one period on; the rest stay due and re-check after w.
+ *  - When rr is read, recheckBefore replays it: every group due before
+ *    T, in cycle order, sets rr one past the last member its sweep from
+ *    rr reaches (the highest member below rr, else the highest member).
  *
- * A waiter's exact readyAt is its group's cycle; the machine's own copy
- * is stale until the waiter is unparked (lock release, or the loop
- * handing the machine back). The structure is transient: it is empty
- * whenever the machine is not inside its indexed run loop.
+ *  - A group due exactly when a real context w steps splits at w:
+ *    members the sweep from rr reaches before w re-check first; the
+ *    rest stay due and re-check after w, or see the lock free if w's
+ *    step released it.
+ *
+ * Waiters stay parked across a release; the machine wakes a group once
+ * it falls due on a free lock. A waiter's exact readyAt is dueAt(); the
+ * machine's own copy is stale until the waiter wakes or the loop hands
+ * the machine back. The structure is transient: it is empty whenever
+ * the machine is not inside its indexed run loop.
  */
 
 #ifndef HINTM_SIM_LOCK_WAITERS_HH
 #define HINTM_SIM_LOCK_WAITERS_HH
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -46,60 +57,100 @@ namespace sim
 class LockWaiters
 {
   public:
-    /** Re-checks are @p period cycles apart (must be positive). */
-    explicit LockWaiters(Cycle period) : period_(period)
-    {
-        HINTM_ASSERT(period > 0, "lock re-check period must be positive");
-    }
+    /** Cycles between two re-checks: one phase per bit of a mask word. */
+    static constexpr Cycle period = 64;
+
+    LockWaiters() { reset(0); }
 
     /** Drop every waiter; @p n is the machine's context count (the
      * round-robin cursor wraps there, at most 64). */
     void
     reset(unsigned n)
     {
-        HINTM_ASSERT(n <= capacity, "lock waiters support at most 64 contexts");
+        HINTM_ASSERT(n <= 64, "lock waiters support at most 64 contexts");
         n_ = n;
-        head_ = 0;
-        count_ = 0;
+        settled_ = 0;
         members_ = 0;
+        occupied_ = 0;
+        ahead_ = 0;
+        phase_.fill(0);
+        firstMin_.fill(never);
+        firstMax_.fill(0);
     }
 
     bool empty() const { return members_ == 0; }
     bool parked(unsigned c) const { return members_ >> c & 1; }
 
-    /** Cycle of the earliest group; max when nothing is parked. */
-    Cycle
-    earliest() const
-    {
-        return count_ ? at(0).cycle : std::numeric_limits<Cycle>::max();
-    }
-
     /** Parked context @p c's next re-check cycle (its exact readyAt). */
     Cycle
     dueAt(unsigned c) const
     {
-        return at(find(c)).cycle;
+        const Cycle f = first_[c];
+        Cycle d = f >= settled_
+                      ? f
+                      : f + (settled_ - f + period - 1) / period * period;
+        if (d == settled_ && (ahead_ >> c & 1))
+            d += period;
+        return d;
     }
 
-    /** Park @p c with its next re-check at @p t. */
-    void
-    park(unsigned c, Cycle t)
+    /** Cycle of the earliest group; max when nothing is parked. Walks
+     * the phases in cycle order through the period after the settle
+     * point; the first group due there is the earliest, since any later
+     * re-check of a phase is at least a period on. */
+    Cycle
+    earliest() const
     {
-        const std::uint64_t bit = std::uint64_t(1) << c;
-        HINTM_ASSERT(!(members_ & bit), "context parked twice");
-        members_ |= bit;
-        insert(t, bit);
+        Cycle best = never;
+        const unsigned shift = unsigned(settled_ % period);
+        for (std::uint64_t m = std::rotr(occupied_, int(shift)); m;
+             m &= m - 1) {
+            const unsigned o = unsigned(std::countr_zero(m));
+            const unsigned p = (shift + o) % period;
+            const std::uint64_t active = activeAt(p, settled_ + o);
+            if (o == 0 ? active & ~ahead_ : active)
+                return settled_ + o;
+            // No one of this phase re-checks now: the ones that just did
+            // come back a period on, the rest at their first re-check.
+            best = std::min(best, active ? settled_ + period : firstMin_[p]);
+        }
+        return best;
+    }
+
+    /** Park @p c, whose re-check at @p now found the lock held, with
+     * its next re-check at @p t. */
+    void
+    park(unsigned c, Cycle t, Cycle now)
+    {
+        HINTM_ASSERT(!parked(c), "context parked twice");
+        if (members_ == 0) {
+            settled_ = now;
+            ahead_ = 0;
+        }
+        HINTM_ASSERT(t > now && now >= settled_,
+                     "lock waiter parked into the past");
+        add(c, t);
     }
 
     /** Move parked context @p c's next re-check to @p t. */
     void
     repark(unsigned c, Cycle t)
     {
-        const std::uint64_t bit = std::uint64_t(1) << c;
-        const unsigned i = find(c);
-        if ((at(i).members &= ~bit) == 0)
-            erase(i);
-        insert(t, bit);
+        HINTM_ASSERT(parked(c) && t >= settled_,
+                     "lock waiter reparked into the past");
+        remove(unsigned(first_[c] % period), std::uint64_t(1) << c);
+        add(c, t);
+    }
+
+    /** The members that re-check at @p t (at or after the settle point)
+     * once every re-check before @p t has happened; 0 if none. */
+    std::uint64_t
+    groupAt(Cycle t) const
+    {
+        std::uint64_t g = activeAt(unsigned(t % period), t);
+        if (t == settled_)
+            g &= ~ahead_;
+        return g;
     }
 
     /** Replay every re-check due strictly before @p t, in cycle order,
@@ -107,36 +158,74 @@ class LockWaiters
     void
     recheckBefore(Cycle t, unsigned &rr)
     {
-        while (count_ && at(0).cycle < t) {
-            const Group g = at(0);
-            popFront();
-            const std::uint64_t below =
-                g.members & ((std::uint64_t(1) << rr) - 1);
-            const unsigned last =
-                63u - unsigned(std::countl_zero(below ? below : g.members));
-            rr = last + 1 == n_ ? 0 : last + 1;
-            insert(g.cycle + period_, g.members);
+        if (t <= settled_)
+            return;
+        for (Cycle base = settled_; base < t; base += period) {
+            // Bit o of m: the phase due at cycle base + o.
+            const unsigned shift = unsigned(base % period);
+            std::uint64_t m = std::rotr(occupied_, int(shift));
+            if (t - base < period)
+                m &= (std::uint64_t(1) << (t - base)) - 1;
+            for (; m; m &= m - 1) {
+                const unsigned o = unsigned(std::countr_zero(m));
+                std::uint64_t g =
+                    activeAt(unsigned((shift + o) % period), base + o);
+                if (base + o == settled_)
+                    g &= ~ahead_;
+                if (g == 0)
+                    continue;
+                const std::uint64_t below =
+                    g & ((std::uint64_t(1) << rr) - 1);
+                const unsigned last =
+                    63u - unsigned(std::countl_zero(below ? below : g));
+                rr = last + 1 == n_ ? 0 : last + 1;
+            }
         }
+        settled_ = t;
+        ahead_ = 0;
     }
 
-    /** The real winner @p w was picked at key @p t from cursor @p rr:
-     * the group due at @p t re-checks the members the rotation reaches
-     * before w. The cursor needs no update, since w's own step moves it
-     * past them. */
-    void
+    /** The real context @p w steps at @p t, the settle point, from
+     * cursor @p rr: the group due at @p t re-checks the members the
+     * rotation reaches before w, which w's own step then follows.
+     * @return those members. */
+    std::uint64_t
     splitAt(Cycle t, unsigned rr, unsigned w)
     {
-        if (count_ == 0 || at(0).cycle != t)
-            return;
+        HINTM_ASSERT(t == settled_, "lock waiters split off the settle point");
         const std::uint64_t from = ~((std::uint64_t(1) << rr) - 1);
         const std::uint64_t to = (std::uint64_t(1) << w) - 1;
         const std::uint64_t ahead =
-            at(0).members & (rr <= w ? from & to : from | to);
-        if (ahead == 0)
-            return;
-        if ((at(0).members &= ~ahead) == 0)
-            popFront();
-        insert(t + period_, ahead);
+            groupAt(t) & (rr <= w ? from & to : from | to);
+        ahead_ |= ahead;
+        return ahead;
+    }
+
+    /** The real context @p w steps at @p t (at or after the settle
+     * point) with the cursor at @p rr, which w's step then overwrites:
+     * the re-checks before @p t settle unreplayed, unless a group is due
+     * at @p t and must split at w, which needs the cursor. */
+    void
+    stepAt(Cycle t, unsigned rr, unsigned w)
+    {
+        if (groupAt(t) != 0) {
+            recheckBefore(t, rr);
+            splitAt(t, rr, w);
+        } else if (t > settled_) {
+            settled_ = t;
+            ahead_ = 0;
+        }
+    }
+
+    /** Unpark the group due at @p t: @p f(context) for each member. */
+    template <typename F>
+    void
+    wake(Cycle t, F &&f)
+    {
+        const std::uint64_t g = groupAt(t);
+        remove(unsigned(t % period), g);
+        for (std::uint64_t m = g; m; m &= m - 1)
+            f(unsigned(std::countr_zero(m)));
     }
 
     /** Unpark everyone: @p f(context, readyAt) for each waiter. */
@@ -144,82 +233,84 @@ class LockWaiters
     void
     drain(F &&f)
     {
-        for (unsigned i = 0; i < count_; ++i) {
-            const Group &g = at(i);
-            for (std::uint64_t m = g.members; m; m &= m - 1)
-                f(unsigned(std::countr_zero(m)), g.cycle);
+        for (std::uint64_t m = members_; m; m &= m - 1) {
+            const unsigned c = unsigned(std::countr_zero(m));
+            f(c, dueAt(c));
         }
         reset(n_);
     }
 
   private:
-    /** One group per parked context at most. */
-    static constexpr unsigned capacity = 64;
+    static constexpr Cycle never = std::numeric_limits<Cycle>::max();
 
-    struct Group
+    /** Members of phase @p p whose first re-check is at or before
+     * @p t: the ones that re-check at @p t, a cycle of that phase at or
+     * after the settle point. */
+    std::uint64_t
+    activeAt(unsigned p, Cycle t) const
     {
-        Cycle cycle;
-        std::uint64_t members;
-    };
-
-    Group &at(unsigned i) { return ring_[(head_ + i) % capacity]; }
-    const Group &at(unsigned i) const
-    {
-        return ring_[(head_ + i) % capacity];
-    }
-
-    unsigned
-    find(unsigned c) const
-    {
-        HINTM_ASSERT(parked(c), "context ", c, " is not parked");
-        unsigned i = 0;
-        while (!(at(i).members >> c & 1))
-            ++i;
-        return i;
+        if (firstMin_[p] > t)
+            return 0;
+        if (firstMax_[p] <= t)
+            return phase_[p];
+        std::uint64_t g = 0;
+        for (std::uint64_t m = phase_[p]; m; m &= m - 1) {
+            const unsigned c = unsigned(std::countr_zero(m));
+            if (first_[c] <= t)
+                g |= std::uint64_t(1) << c;
+        }
+        return g;
     }
 
     void
-    popFront()
+    add(unsigned c, Cycle t)
     {
-        head_ = (head_ + 1) % capacity;
-        --count_;
+        const unsigned p = unsigned(t % period);
+        first_[c] = t;
+        phase_[p] |= std::uint64_t(1) << c;
+        members_ |= std::uint64_t(1) << c;
+        occupied_ |= std::uint64_t(1) << p;
+        firstMin_[p] = std::min(firstMin_[p], t);
+        firstMax_[p] = std::max(firstMax_[p], t);
     }
 
+    /** Drop the members @p mask of phase @p p. */
     void
-    erase(unsigned i)
+    remove(unsigned p, std::uint64_t mask)
     {
-        for (; i + 1 < count_; ++i)
-            at(i) = at(i + 1);
-        --count_;
-    }
-
-    /** Add @p mask at cycle @p t, merging with a group already there.
-     * Searches from the back: a group that just re-checked is almost
-     * always the latest. */
-    void
-    insert(Cycle t, std::uint64_t mask)
-    {
-        unsigned i = count_;
-        while (i > 0 && at(i - 1).cycle > t)
-            --i;
-        if (i > 0 && at(i - 1).cycle == t) {
-            at(i - 1).members |= mask;
+        phase_[p] &= ~mask;
+        members_ &= ~mask;
+        ahead_ &= ~mask;
+        firstMin_[p] = never;
+        firstMax_[p] = 0;
+        if (phase_[p] == 0) {
+            occupied_ &= ~(std::uint64_t(1) << p);
             return;
         }
-        for (unsigned j = count_; j > i; --j)
-            at(j) = at(j - 1);
-        at(i) = {t, mask};
-        ++count_;
+        for (std::uint64_t m = phase_[p]; m; m &= m - 1) {
+            const Cycle f = first_[unsigned(std::countr_zero(m))];
+            firstMin_[p] = std::min(firstMin_[p], f);
+            firstMax_[p] = std::max(firstMax_[p], f);
+        }
     }
 
-    Cycle period_;
     unsigned n_ = 0;
-    /** Ring of groups sorted by cycle: at(0) is the earliest. */
-    std::array<Group, capacity> ring_{};
-    unsigned head_ = 0;
-    unsigned count_ = 0;
-    /** Union of every group's members. */
+    /** Settle point: every re-check before it has happened. */
+    Cycle settled_ = 0;
+    /** Members of the settle point's group that re-checked there
+     * already, ahead of the context that stepped. */
+    std::uint64_t ahead_ = 0;
+    /** Every parked context. */
     std::uint64_t members_ = 0;
+    /** Bit p set: some waiter has phase p. */
+    std::uint64_t occupied_ = 0;
+    /** Waiters by phase. */
+    std::array<std::uint64_t, period> phase_{};
+    /** Earliest and latest first re-check among each phase's waiters. */
+    std::array<Cycle, period> firstMin_{};
+    std::array<Cycle, period> firstMax_{};
+    /** Each parked context's first re-check cycle. */
+    std::array<Cycle, 64> first_{};
 };
 
 } // namespace sim

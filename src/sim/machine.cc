@@ -30,7 +30,7 @@ namespace
 /** The software fallback lock lives below the globals region. */
 constexpr Addr fallbackLockAddr = 0xF000;
 /** Spin re-check interval while the fallback lock is held. */
-constexpr Cycle fallbackSpinCycles = 64;
+constexpr Cycle fallbackSpinCycles = LockWaiters::period;
 /** Linear backoff per retry after a transient abort. */
 constexpr Cycle backoffCycles = 64;
 
@@ -189,8 +189,10 @@ class Machine
      * (its readyAt strictly below every other eligible context's lower
      * bound and no cross-context mutation observed), touching the heap
      * once per batch instead of once per step. It also parks
-     * fallback-lock waiters after their first re-check and replays the
-     * later re-checks on the round-robin cursor (sim/lock_waiters.hh).
+     * fallback-lock waiters after their first re-check and settles the
+     * later ones lazily (sim/lock_waiters.hh): while the lock is held a
+     * batch runs through them, and on a free lock a group wakes into
+     * the index once it falls due.
      */
     void
     runLoop(std::uint64_t commit_target)
@@ -206,21 +208,38 @@ class Machine
         }
         const unsigned n = unsigned(ctxs_.size());
         while (res_.committedTxs < commit_target && sched_.anyLive()) {
+            const bool held = lockHolder_ >= 0;
             if (!waiters_.empty()) {
-                // Waiters due before the next real pick re-check first.
                 const Cycle t = sched_.peekKey();
-                if (t == farFuture)
-                    deadlockPanic();
-                waiters_.recheckBefore(t, rr_);
+                if (held) {
+                    // Waiters due before the next real pick re-check
+                    // first.
+                    if (t == farFuture)
+                        deadlockPanic();
+                    waiters_.recheckBefore(t, rr_);
+                } else {
+                    // The lock is free: the earliest group wakes once no
+                    // real pick comes before it, to find the lock free.
+                    const Cycle e = waiters_.earliest();
+                    if (e <= t)
+                        wakeWaiters(e);
+                }
             }
             const SchedIndex::Pick p = sched_.pick(rr_);
             if (p.winner < 0)
                 deadlockPanic();
             const unsigned w = unsigned(p.winner);
             Cycle bound = p.bound;
-            if (!waiters_.empty()) {
+            // While the lock stays held the batch runs through parked
+            // re-checks; on a free lock it stops before the earliest
+            // group, every one of which falls due after this pick.
+            const bool through = held && !waiters_.empty();
+            if (through) {
                 waiters_.splitAt(p.key, rr_, w);
-                bound = std::min(bound, waiters_.earliest());
+            } else if (!waiters_.empty()) {
+                const Cycle e = waiters_.earliest();
+                HINTM_ASSERT(e > p.key, "lock waiter parked on a free lock");
+                bound = std::min(bound, e);
             }
             ContextState &cs = ctxs_[w];
             now_ = std::max(now_, p.key);
@@ -232,6 +251,8 @@ class Machine
                    cs.readyAt < bound &&
                    res_.committedTxs < commit_target) {
                 now_ = std::max(now_, cs.readyAt);
+                if (through)
+                    waiters_.stepAt(now_, rr_, w);
                 step(w, now_);
             }
             // Close the batch: republish w's scheduler state (its heap
@@ -486,7 +507,6 @@ class Machine
     Cycle
     acquireFallbackLock(unsigned c, Cycle now)
     {
-        HINTM_ASSERT(waiters_.empty(), "lock waiters parked on a free lock");
         lockHolder_ = int(c);
         observers_.lockAcquired(now);
         if (!cfg_.unsafeLazySubscription) {
@@ -554,7 +574,11 @@ class Machine
             HINTM_ASSERT(lockHolder_ == int(c), "lock bookkeeping broken");
             observers_.lockRelease(c, now);
             lockHolder_ = -1;
-            wakeWaiters(now);
+            // Waiters stay parked until they fall due. Ending the batch
+            // lets a group due at this very cycle see the lock free
+            // before the releaser steps on.
+            if (!waiters_.empty())
+                schedDirty_ = true;
             const auto ar =
                 mem_->access(mem::ContextId(c), fallbackLockAddr,
                              AccessType::Write);
@@ -800,7 +824,7 @@ class Machine
     }
 
     /** Park @p c, whose step just re-checked the held fallback lock,
-     * until the lock is released or the run loop returns. */
+     * until its group falls due on a free lock or the run loop returns. */
     void
     parkWaiter(unsigned c)
     {
@@ -809,23 +833,18 @@ class Machine
                          !cs.htm->abortPending(),
                      "parked a context that is not waiting on the lock");
         sched_.block(c, cs.readyAt);
-        waiters_.park(c, cs.readyAt);
+        waiters_.park(c, cs.readyAt, now_);
     }
 
-    /** The fallback lock was released at @p now: every parked waiter
-     * re-enters the index at the readyAt spinning would have given it,
-     * to see the lock free in the reference rotation order. */
+    /** The parked group due at @p t re-enters the index there, to see
+     * the free lock in the reference rotation order. */
     void
-    wakeWaiters(Cycle now)
+    wakeWaiters(Cycle t)
     {
-        if (waiters_.empty())
-            return;
-        waiters_.drain([this, now](unsigned c, Cycle t) {
-            HINTM_ASSERT(t >= now, "lock waiter woken into the past");
+        waiters_.wake(t, [this, t](unsigned c) {
             ctxs_[c].readyAt = t;
             sched_.unblock(c, t);
         });
-        schedDirty_ = true;
     }
 
     /** Mark a transactional event on the stepping context; the
@@ -1024,12 +1043,12 @@ class Machine
     bool useSchedIndex_ = false;
     /** Fallback-lock waiters parked by the indexed run loop; empty
      * outside it. */
-    LockWaiters waiters_{fallbackSpinCycles};
+    LockWaiters waiters_;
     /** Set whenever a step mutates another context's scheduler state
-     * (shootdown readyAt bump, barrier release, lock-waiter wake,
-     * controller wake event): the current batch's uniqueness proof no
-     * longer holds, so the loop returns to the index for the next
-     * pick. */
+     * (shootdown readyAt bump, barrier release, a lock release with
+     * waiters parked, controller wake event): the current batch's
+     * uniqueness proof no longer holds, so the loop returns to the
+     * index for the next pick. */
     bool schedDirty_ = false;
     /** The last step re-checked a held fallback lock (the run loop
      * parks the context). */

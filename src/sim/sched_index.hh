@@ -186,8 +186,8 @@ class SchedIndex
     }
 
     /** The key the next pick() returns (the earliest eligible readyAt),
-     * or max when nothing is eligible. Opens the tie bucket exactly as
-     * pick() would, so the pick that follows finds it ready. */
+     * or max when nothing is eligible. Opens no tie bucket, so a context
+     * may still unblock() below the key it returns. */
     Cycle
     peekKey()
     {
@@ -197,9 +197,10 @@ class SchedIndex
                 best = std::min(best, ready_[unsigned(std::countr_zero(m))]);
             return best;
         }
-        if (tie_ == 0)
-            openBucket();
-        return tie_ ? tieKey_ : std::numeric_limits<Cycle>::max();
+        if (tie_)
+            return tieKey_;
+        return dropStale() ? heap_.front().key
+                           : std::numeric_limits<Cycle>::max();
     }
 
     bool anyLive() const { return live_ != 0; }

@@ -6,7 +6,7 @@
 
 #include "workloads.hh"
 
-#include <cstdlib>
+#include <charconv>
 
 #include "common/logging.hh"
 
@@ -93,16 +93,16 @@ byName(const std::string &name, Scale s)
     const std::size_t at = name.find('@');
     if (at != std::string::npos) {
         base = name.substr(0, at);
-        char *end = nullptr;
-        threads = unsigned(
-            std::strtoul(name.c_str() + at + 1, &end, 10));
-        HINTM_ASSERT(end && *end == '\0' && threads >= 1 &&
-                         threads <= 64,
-                     "bad thread-count suffix in workload '", name,
-                     "' (want name@N with N in 1..64)");
+        const char *last = name.data() + name.size();
+        const auto [end, ec] =
+            std::from_chars(name.data() + at + 1, last, threads);
+        if (ec != std::errc() || end != last || threads < 1 || threads > 64)
+            HINTM_FATAL("bad thread-count suffix '", name.substr(at),
+                        "' in workload '", name,
+                        "' (want name@N with N in 1..64)");
     }
     Workload w = buildBase(base, s, threads);
-    // Keep the suffixed name: it is part of every result-cache key.
+    // Keep the suffixed name: reports label each thread count apart.
     w.name = name;
     return w;
 }

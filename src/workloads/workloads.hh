@@ -78,9 +78,9 @@ const std::vector<std::string> &allNames();
 /**
  * Build a workload by name; fatals on unknown names. A "name@N" suffix
  * builds the same kernel partitioned for N worker threads (1..64) —
- * e.g. "kmeans@32" for the 32-context scaling studies. The returned
- * Workload keeps the suffixed name so result-cache keys never alias
- * across thread counts.
+ * e.g. "kmeans@32" for the 32-context scaling studies; any other
+ * suffix is fatal. The returned Workload keeps the suffixed name, so
+ * reports label each thread count apart.
  */
 Workload byName(const std::string &name, Scale s);
 

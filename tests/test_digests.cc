@@ -12,7 +12,11 @@
  *    split (one home node per 16 cores);
  *  - every kernel on L1TM with 2-way SMT, 8 threads on 4 cores (the
  *    Fig. 8 shape, where L1 pins cross contexts), Baseline/Full, at Tiny
- *    and at Small.
+ *    and at Small;
+ *  - intruder, kmeans and vacation on 64 contexts at Small, P8
+ *    Baseline/Full with the same NUMA split: long fallback-lock convoys
+ *    (Baseline commits 95%, 93% and 99.6% of their TXs through the
+ *    lock), where parked lock waiters do most of the scheduling.
  *
  * On a mismatch the test writes the table it computed to
  * digests.computed.txt next to its binary, so re-recording a deliberate
@@ -116,6 +120,12 @@ TEST(DigestTable, EveryRowMatchesTheRecordedTable)
                 add(label, prepared.size() - 1, htm::HtmKind::L1TM, m, 4, 2,
                     1);
         }
+    }
+    for (const std::string k : {"intruder", "kmeans", "vacation"}) {
+        prepared.push_back(bench::prepare(k, Scale::Small, 64));
+        for (const Mechanism m : {Mechanism::Baseline, Mechanism::Full})
+            add(k + ":small:64ctx", prepared.size() - 1, htm::HtmKind::P8, m,
+                64, 1, 4);
     }
 
     std::vector<bench::MatrixJob> jobs;

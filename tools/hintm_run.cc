@@ -20,6 +20,7 @@
 #include "common/cli.hh"
 #include "common/logging.hh"
 #include "common/trace.hh"
+#include "common/types.hh"
 #include "core/hintm.hh"
 #include "sim/journal_io.hh"
 #include "workloads/workloads.hh"
@@ -133,6 +134,8 @@ run(int argc, char **argv)
             threads = parseFlag<unsigned>(a, next());
         } else if (a == "--cores") {
             opts.numCores = parseFlag<unsigned>(a, next());
+            if (opts.numCores == 0)
+                HINTM_FATAL("--cores expects at least 1 core, got 0");
         } else if (a == "--smt") {
             opts.smtPerCore = parseFlag<unsigned>(a, next());
         } else if (a == "--seed") {
@@ -141,6 +144,9 @@ run(int argc, char **argv)
             opts.bufferEntries = parseFlag<unsigned>(a, next());
         } else if (a == "--signature") {
             opts.signatureBits = parseFlag<unsigned>(a, next());
+            if (!isPowerOfTwo(opts.signatureBits))
+                HINTM_FATAL("--signature expects a power of two, got ",
+                            opts.signatureBits);
         } else if (a == "--retries") {
             opts.maxRetries = parseFlag<unsigned>(a, next());
         } else if (a == "--preserve") {
