@@ -37,6 +37,15 @@ parseFlagValue(const std::string &flag, const char *value,
     return v;
 }
 
+std::ofstream
+openOutput(const std::string &path)
+{
+    std::ofstream os(path);
+    if (!os)
+        HINTM_FATAL("cannot write ", path);
+    return os;
+}
+
 int
 runMain(int argc, char **argv, int (*body)(int, char **))
 {

@@ -12,6 +12,7 @@
 #define HINTM_COMMON_CLI_HH
 
 #include <cstdint>
+#include <fstream>
 #include <limits>
 #include <string>
 
@@ -40,6 +41,10 @@ parseFlag(const std::string &flag, const char *value)
 {
     return T(parseFlagValue(flag, value, std::numeric_limits<T>::max()));
 }
+
+/** Open the output file @p path the user named (truncating it): fatal,
+ * naming the file, when it cannot be opened. */
+std::ofstream openOutput(const std::string &path);
 
 /**
  * Run a binary's main body and return its exit code. A fatal error

@@ -149,7 +149,8 @@ HtmController::trackAccess(Addr addr, AccessType type, bool safe)
                 dir_->setSigActive(unsigned(self_), true);
             }
             ++stats_->signatureSpills;
-            return is_new ? std::uint8_t(NewlyRead) : TrackFailed;
+            return is_new ? std::uint8_t(NewlyRead)
+                          : std::uint8_t(TrackFailed);
         }
         // Writes need real buffering: displace a read-only entry into
         // the signature to make room. Only a full buffer of written
@@ -362,8 +363,6 @@ HtmController::triggerAbort(AbortReason r, Addr offending_addr,
     // this TX observes pre-transactional data.
     if (undoHook_)
         undoHook_();
-    if (wakeHook_)
-        wakeHook_();
 }
 
 void

@@ -133,7 +133,7 @@ class HtmController : public mem::SnoopListener
     void setHintOracle(HintOracle *oracle) { oracle_ = oracle; }
 
     /**
-     * Attach the owning coherence directory (null = broadcast mode).
+     * Attach the coherence directory (null = broadcast mode).
      * The controller then registers every precisely-tracked block (and
      * its signature liveness) with the directory, letting the memory
      * system deliver bus events only to contexts that can conflict.
@@ -148,19 +148,6 @@ class HtmController : public mem::SnoopListener
      * tracksBlock() when the L1 fills a line. A no-op for other kinds.
      */
     void attachL1(mem::MemorySystem *mem);
-
-    /**
-     * Hook fired whenever this controller signals an abort into a
-     * running TX (conflicts, evictions, fallback-lock handoff,
-     * page-mode aborts — every triggerAbort() path). The scheduler
-     * uses it as a wake event: the owning context's retry timing is
-     * about to change, so any batched scheduling decision made under a
-     * quiet-machine assumption must be revisited. May be null.
-     */
-    void setWakeHook(std::function<void()> hook)
-    {
-        wakeHook_ = std::move(hook);
-    }
 
     /** Enter transactional mode. */
     void beginTx(Cycle now);
@@ -281,7 +268,6 @@ class HtmController : public mem::SnoopListener
     mem::ContextId self_;
     HtmStats *stats_;
     std::function<void()> undoHook_;
-    std::function<void()> wakeHook_;
     HintOracle *oracle_ = nullptr;
     mem::Directory *dir_ = nullptr;
     /** L1TM: the memory system whose L1 lines carry this TX's bits. */

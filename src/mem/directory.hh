@@ -1,15 +1,13 @@
 /**
  * @file
- * Owning coherence directory: the authoritative record of which L1s hold
- * each block (64-bit sharer mask), which L1 owns it exclusively, and its
- * MESI-equivalent stable state. Promoted from the PR 2 sharer-tracking
- * snoop filter, which answered only "who might share this block"; the
- * directory also answers "who owns it" and "which hardware contexts
- * have it in a transactional read/write set", so bus probes, listener
- * delivery and HTM conflict detection all iterate true sharers —
- * per-access cost O(sharers), not O(cores).
+ * Coherence directory: the record of which L1s hold each block (64-bit
+ * sharer mask) and which hardware contexts have it in a transactional
+ * read/write set, so bus probes, listener delivery and HTM conflict
+ * detection all iterate true sharers — per-access cost O(sharers), not
+ * O(cores). A fill's Exclusive-vs-Shared state comes from the probe of
+ * those sharers, so the directory keeps no owner or stable state.
  *
- * Alongside coherence state, each entry carries a transactional-tracker
+ * Alongside the sharer mask, each entry carries a transactional-tracker
  * mask: the set of hardware contexts whose HTM controller currently has
  * the block in its precise read/write set (dedicated buffer or P8S
  * overflow list). Controllers register on insert and deregister when the
@@ -23,7 +21,7 @@
  * touched again, so no tombstones are needed. The directory is
  * maintained precisely by MemorySystem, but sharer lookups tolerate
  * stale (superset) masks: a probe of a masked L1 that misses simply
- * heals the entry, exactly like the snoop filter did.
+ * heals the entry.
  */
 
 #ifndef HINTM_MEM_DIRECTORY_HH
@@ -41,24 +39,9 @@ namespace hintm
 namespace mem
 {
 
-/**
- * Directory-visible stable state of a block. The directory cannot see
- * silent E->M upgrades, so Exclusive and Modified collapse into one
- * Owned state (single valid, possibly dirty copy at `owner`).
- */
-enum class DirState : std::uint8_t
-{
-    Uncached, ///< no L1 holds the block
-    Shared,   ///< one or more clean copies, no owner
-    Owned,    ///< exactly one copy, exclusive or dirty, at owner()
-};
-
 class Directory
 {
   public:
-    /** Owner value meaning "no exclusive owner". */
-    static constexpr std::int16_t noOwner = -1;
-
     explicit Directory(std::size_t initial_slots = 1024)
     {
         std::size_t cap = 64;
@@ -75,54 +58,11 @@ class Directory
         return s.block == block ? s.sharerMask : 0;
     }
 
-    /** Stable state of @p block as the directory sees it. */
-    DirState
-    state(Addr block) const
-    {
-        const Slot &s = *const_cast<Directory *>(this)->findSlot(block);
-        if (s.block != block || s.sharerMask == 0)
-            return DirState::Uncached;
-        return s.owner == noOwner ? DirState::Shared : DirState::Owned;
-    }
-
-    /** Exclusive-owner L1 of @p block, or noOwner. */
-    std::int16_t
-    owner(Addr block) const
-    {
-        const Slot &s = *const_cast<Directory *>(this)->findSlot(block);
-        return s.block == block ? s.owner : noOwner;
-    }
-
-    /**
-     * Record that L1 @p l1 filled @p block. @p exclusive marks an E/M
-     * fill (no other valid copy exists), making @p l1 the owner; a
-     * Shared fill joins the sharer list without ownership.
-     */
+    /** Record that L1 @p l1 filled @p block. */
     void
-    recordFill(Addr block, unsigned l1, bool exclusive)
+    recordFill(Addr block, unsigned l1)
     {
-        Slot *s = insertSlot(block);
-        s->sharerMask |= std::uint64_t(1) << l1;
-        s->owner = exclusive ? std::int16_t(l1) : noOwner;
-    }
-
-    /** A write hit on Shared upgraded after invalidating the peers:
-     * @p l1 becomes the sole owner. */
-    void
-    recordUpgrade(Addr block, unsigned l1)
-    {
-        Slot *s = findSlot(block);
-        if (s->block == block)
-            s->owner = std::int16_t(l1);
-    }
-
-    /** A Read snoop downgraded @p l1's exclusive copy to Shared. */
-    void
-    recordDowngrade(Addr block, unsigned l1)
-    {
-        Slot *s = findSlot(block);
-        if (s->block == block && s->owner == std::int16_t(l1))
-            s->owner = noOwner;
+        insertSlot(block)->sharerMask |= std::uint64_t(1) << l1;
     }
 
     /** L1 @p l1 no longer holds @p block (eviction, snoop invalidation,
@@ -131,11 +71,8 @@ class Directory
     removeSharer(Addr block, unsigned l1)
     {
         Slot *s = findSlot(block);
-        if (s->block != block)
-            return;
-        s->sharerMask &= ~(std::uint64_t(1) << l1);
-        if (s->owner == std::int16_t(l1))
-            s->owner = noOwner;
+        if (s->block == block)
+            s->sharerMask &= ~(std::uint64_t(1) << l1);
     }
 
     // ---- transactional trackers ------------------------------------
@@ -203,7 +140,6 @@ class Directory
         Addr block = emptyKey;
         std::uint64_t sharerMask = 0;
         std::uint64_t trackerMask = 0;
-        std::int16_t owner = noOwner;
     };
 
     /** Slot holding @p block, or the empty slot where it would go. */
@@ -229,7 +165,6 @@ class Directory
             s->block = block;
             s->sharerMask = 0;
             s->trackerMask = 0;
-            s->owner = noOwner;
             ++used_;
         }
         return s;

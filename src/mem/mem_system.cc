@@ -10,14 +10,6 @@ namespace hintm
 namespace mem
 {
 
-namespace
-{
-
-/** Max contexts/L1s representable in the 64-bit fast-path masks. */
-constexpr unsigned maskBits = 64;
-
-} // namespace
-
 MemorySystem::MemorySystem(const MemConfig &cfg, unsigned num_l1s)
     : cfg_(cfg)
 {
@@ -29,7 +21,6 @@ MemorySystem::MemorySystem(const MemConfig &cfg, unsigned num_l1s)
     l2_ = std::make_unique<CacheArray>(
         CacheGeometry(cfg.l2SizeBytes, cfg.l2Assoc));
 
-    dirOn_ = cfg.directory && num_l1s <= maskBits;
     l1CtxMask_.assign(num_l1s, 0);
 
     // Contiguous NUMA grouping: L1s [0, n/k), [n/k, 2n/k), ... share a
@@ -57,16 +48,14 @@ MemorySystem::MemorySystem(const MemConfig &cfg, unsigned num_l1s)
 ContextId
 MemorySystem::addContext(unsigned l1_id)
 {
-    HINTM_ASSERT(l1_id < l1s_.size(), "bad L1 id ", l1_id);
+    HINTM_ASSERT(l1_id < l1s_.size() && l1_id < 64, "bad L1 id ", l1_id);
+    HINTM_ASSERT(contexts_.size() < 64, "more than 64 contexts");
     unsigned slot = 0;
     for (const Context &c : contexts_)
         slot += c.l1 == l1_id;
     contexts_.push_back(Context{l1_id, slot, nullptr});
     const ContextId id = ContextId(contexts_.size() - 1);
-    if (unsigned(id) >= maskBits)
-        dirOn_ = false; // too many contexts for the masks
-    else
-        l1CtxMask_[l1_id] |= std::uint64_t(1) << unsigned(id);
+    l1CtxMask_[l1_id] |= std::uint64_t(1) << unsigned(id);
     return id;
 }
 
@@ -84,8 +73,6 @@ MemorySystem::setListenerTxFiltered(ContextId ctx, bool filtered)
 {
     HINTM_ASSERT(ctx >= 0 && ctx < ContextId(contexts_.size()),
                  "bad context ", ctx);
-    if (unsigned(ctx) >= maskBits)
-        return; // broadcast mode; delivery masks unused
     const std::uint64_t bit = std::uint64_t(1) << unsigned(ctx);
     if (filtered)
         fullDeliveryMask_ &= ~bit;
@@ -154,19 +141,7 @@ MemorySystem::probeL1(ContextId ctx, Addr addr) const
 std::uint64_t
 MemorySystem::sharerMaskOf(Addr addr) const
 {
-    return dirOn_ ? dir_.sharers(blockAlign(addr)) : 0;
-}
-
-std::int16_t
-MemorySystem::ownerOf(Addr addr) const
-{
-    return dirOn_ ? dir_.owner(blockAlign(addr)) : Directory::noOwner;
-}
-
-DirState
-MemorySystem::dirStateOf(Addr addr) const
-{
-    return dirOn_ ? dir_.state(blockAlign(addr)) : DirState::Uncached;
+    return cfg_.directory ? dir_.sharers(blockAlign(addr)) : 0;
 }
 
 bool
@@ -183,8 +158,6 @@ MemorySystem::snoopOne(unsigned l1, Addr block, BusOp op)
             l2_->insert(block, CoherState::Modified);
         }
         line->state = CoherState::Shared;
-        if (dirOn_)
-            dir_.recordDowngrade(block, l1);
         break;
       case BusOp::ReadExcl:
       case BusOp::Upgrade:
@@ -194,7 +167,7 @@ MemorySystem::snoopOne(unsigned l1, Addr block, BusOp op)
         }
         line->state = CoherState::Invalid;
         ++*cInvalidations_;
-        if (dirOn_)
+        if (cfg_.directory)
             dir_.removeSharer(block, l1);
         break;
     }
@@ -205,7 +178,7 @@ bool
 MemorySystem::snoopPeers(unsigned requester_l1, Addr block, BusOp op)
 {
     bool peer_had_copy = false;
-    if (dirOn_) {
+    if (cfg_.directory) {
         std::uint64_t m = dir_.sharers(block) &
                           ~(std::uint64_t(1) << requester_l1);
         while (m) {
@@ -233,7 +206,7 @@ MemorySystem::notifyBus(ContextId requester, Addr block, AccessType type)
     // Same-L1 siblings are covered by notifySiblings() on every access;
     // the bus only reaches the other cores.
     const unsigned l1 = contexts_[requester].l1;
-    if (dirOn_) {
+    if (cfg_.directory) {
         // Only contexts that can possibly act on the event: unfiltered
         // (plain) listeners, contexts whose TX tracks the block
         // precisely, and — for writes — contexts carrying a read
@@ -263,7 +236,7 @@ MemorySystem::notifySiblings(ContextId requester, Addr block,
                              AccessType type)
 {
     const unsigned l1 = contexts_[requester].l1;
-    if (dirOn_) {
+    if (cfg_.directory) {
         // The same rule as notifyBus(); most machines have no SMT
         // siblings, so the directory is consulted only when some exist.
         std::uint64_t m =
@@ -290,7 +263,7 @@ MemorySystem::notifySiblings(ContextId requester, Addr block,
 void
 MemorySystem::notifyEviction(unsigned l1, Addr block, bool dirty)
 {
-    if (dirOn_) {
+    if (cfg_.directory) {
         // Only a context tracking the block can lose state to its
         // eviction.
         std::uint64_t m = l1CtxMask_[l1] &
@@ -352,8 +325,7 @@ MemorySystem::access(ContextId ctx, Addr addr, AccessType type)
         if (type == AccessType::Read ||
             line->state == CoherState::Modified ||
             line->state == CoherState::Exclusive) {
-            // Silent hit; writes to E upgrade silently to M. Both E and
-            // M map to the directory's Owned state, so no update needed.
+            // Silent hit; writes to E upgrade silently to M.
             if (type == AccessType::Write)
                 line->state = CoherState::Modified;
             res.latency = cfg_.l1Latency;
@@ -366,8 +338,6 @@ MemorySystem::access(ContextId ctx, Addr addr, AccessType type)
         snoopPeers(l1_id, block, BusOp::Upgrade);
         notifyBus(ctx, block, type);
         line->state = CoherState::Modified;
-        if (dirOn_)
-            dir_.recordUpgrade(block, l1_id);
         res.latency =
             cfg_.l1Latency + cfg_.upgradeLatency + numaPenalty(l1_id, block);
         return res;
@@ -393,11 +363,11 @@ MemorySystem::access(ContextId ctx, Addr addr, AccessType type)
         fill = peer_had_copy ? CoherState::Shared : CoherState::Exclusive;
 
     const Eviction ev = l1.insert(block, fill, trackedSeed(l1_id, block));
-    if (dirOn_)
-        dir_.recordFill(block, l1_id, fill != CoherState::Shared);
+    if (cfg_.directory)
+        dir_.recordFill(block, l1_id);
     if (ev.happened) {
         ++*cL1Evictions_;
-        if (dirOn_)
+        if (cfg_.directory)
             dir_.removeSharer(ev.blockAddr, l1_id);
         if (ev.dirty) {
             ++*cWritebacks_;

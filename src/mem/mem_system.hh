@@ -6,17 +6,20 @@
  *
  * Coherence runs in one of two modes:
  *
- *  - Directory (default): an owning mem::Directory is the authoritative
- *    source of sharer/owner state. Bus probes visit only the L1s that
- *    really hold the block, and listener delivery is additionally
- *    filtered by the directory's per-block transactional-tracker masks,
- *    so the per-access cost is O(sharers + trackers) independent of the
- *    core count.
+ *  - Directory (default): a mem::Directory records each block's sharer
+ *    L1s. Bus probes visit only the L1s that really hold the block, and
+ *    listener delivery is additionally filtered by the directory's
+ *    per-block transactional-tracker masks, so the per-access cost is
+ *    O(sharers + trackers) independent of the core count.
  *
  *  - Broadcast (MemConfig::directory = false): the reference path
  *    probes every L1 and delivers every listener event, O(cores) per
  *    access. Bit-identical results; kept only as the oracle the
  *    equivalence tests compare the directory against.
+ *
+ * Every per-context and per-L1 mask is 64 bits wide, so contexts and
+ * the L1s they use are numbered below 64 in both modes (the machine
+ * rejects bigger thread counts up front).
  *
  * Independently of the mode, a two-tier NUMA latency model charges
  * remote-home bus transactions extra cycles when MemConfig::numaNodes
@@ -60,7 +63,7 @@ struct MemConfig
     /** Extra cycles for a bus upgrade (invalidate-only) transaction. */
     Cycle upgradeLatency = 8;
 
-    /** Owning coherence directory + tracker-filtered listener delivery.
+    /** Coherence directory + tracker-filtered listener delivery.
      * Off = reference broadcast path (bit-identical results, O(cores)
      * per access), selected by the equivalence tests. */
     bool directory = true;
@@ -105,7 +108,7 @@ class MemorySystem
     MemorySystem(const MemConfig &cfg, unsigned num_l1s);
 
     /**
-     * Register a hardware context using L1 @p l1_id.
+     * Register a hardware context using L1 @p l1_id (both below 64).
      * @return the new context's id
      */
     ContextId addContext(unsigned l1_id);
@@ -187,23 +190,16 @@ class MemorySystem
 
     /** True when the directory + tracker-filtered delivery are in
      * effect. */
-    bool directoryActive() const { return dirOn_; }
+    bool directoryActive() const { return cfg_.directory; }
 
-    /** The owning directory, or null in broadcast mode. Controllers use
-     * it to register transactional trackers; the machine uses it for
+    /** The directory, or null in broadcast mode. Controllers use it to
+     * register transactional trackers; the machine uses it for
      * O(trackers) conflict pre-flight. */
-    Directory *directory() { return dirOn_ ? &dir_ : nullptr; }
+    Directory *directory() { return cfg_.directory ? &dir_ : nullptr; }
 
     /** Directory sharer mask of a block (testing aid; 0 when the
      * directory is inactive). */
     std::uint64_t sharerMaskOf(Addr addr) const;
-
-    /** Directory owner L1 of a block (testing aid; -1 = none). */
-    std::int16_t ownerOf(Addr addr) const;
-
-    /** Directory stable state of a block (testing aid; Uncached when
-     * the directory is inactive). */
-    DirState dirStateOf(Addr addr) const;
 
     /** NUMA node of an L1 (always 0 in flat configurations). */
     unsigned nodeOfL1(unsigned l1_id) const { return l1Node_[l1_id]; }
@@ -300,10 +296,6 @@ class MemorySystem
     std::vector<Context> contexts_;
     stats::StatGroup stats_{"mem"};
 
-    /** Fast-path state. dirOn_ drops to false (broadcast mode) when
-     * the configuration disables it or the machine outgrows the 64-bit
-     * masks. */
-    bool dirOn_ = true;
     Directory dir_;
     AccessObserver *observer_ = nullptr;
     MetricsRegistry *metrics_ = nullptr;

@@ -118,27 +118,17 @@ class Machine
         if (mem::Directory *dir = mem_->directory()) {
             // Directory mode: controllers register their tracked blocks
             // so bus events reach only contexts that can act on them.
-            // Attached after every context exists — the directory is
-            // only live once the final machine size is known.
             for (unsigned t = 0; t < num_threads; ++t) {
                 ctxs_[t].htm->attachDirectory(dir);
                 mem_->setListenerTxFiltered(mem::ContextId(t), true);
             }
         }
-        // A controlled run (at most 64 threads) always picks through
-        // the index: schedIndex = false selects the reference scan for
-        // controller-free runs only.
-        useSchedIndex_ = (cfg.schedIndex || ctrl_) &&
-                         ctxs_.size() <= SchedIndex::maxContexts;
+        // A controlled run always picks through the index: schedIndex =
+        // false selects the reference scan for controller-free runs only.
+        useSchedIndex_ = cfg.schedIndex || ctrl_;
         if (useSchedIndex_) {
             rebuildSchedIndex();
             waiters_.reset(unsigned(ctxs_.size()));
-            // Wake events: a controller signalling an abort into a
-            // running TX invalidates any batched scheduling decision
-            // (the victim's retry timing is about to change), so the
-            // machine stops polling and lets the controllers publish.
-            for (ContextState &cs : ctxs_)
-                cs.htm->setWakeHook([this] { schedDirty_ = true; });
         }
     }
 
@@ -922,9 +912,12 @@ class Machine
      * Independence filter for DPOR-style pruning: false only when the
      * event's context provably cannot interact with any peer — no lock
      * traffic, and every block its current and previous TX footprints
-     * touch is cached (directory mode) or tracked (broadcast mode) by
-     * no one else. Conservative on missing information: an empty
-     * footprint (first attempt, untracked fallback) stays dependent.
+     * touch is cached in no other L1 (a controlled run has the
+     * directory: checkThreadCount). Conservative on missing
+     * information: an empty footprint (first attempt, untracked
+     * fallback) stays dependent, and so does every event on a machine
+     * with more threads than cores, whose SMT siblings share an L1 the
+     * sharer masks cannot see into.
      */
     bool
     decisionDependent(unsigned c, SchedEvent ev) const
@@ -944,30 +937,18 @@ class Machine
           default:
             break;
         }
-        if (lockHolder_ >= 0)
+        if (lockHolder_ >= 0 || ctxs_.size() > cfg_.numCores)
             return true;
         const ContextState &cs = ctxs_[c];
         if (cs.ctlFpCur.empty() && cs.ctlFpLast.empty())
             return true;
+        // One context per L1 here: context c runs on L1 c.
         bool dep = false;
-        const mem::Directory *dir = mem_->directory();
+        const mem::Directory &dir = *mem_->directory();
+        const std::uint64_t others = ~(std::uint64_t(1) << c);
         const auto overlaps = [&](Addr blk) {
-            if (dep)
-                return;
-            if (dir) {
-                if (dir->sharers(blk) & ~(std::uint64_t(1) << c))
-                    dep = true;
-                return;
-            }
-            for (unsigned o = 0; o < ctxs_.size() && !dep; ++o) {
-                if (o == c)
-                    continue;
-                const ContextState &po = ctxs_[o];
-                if (po.htm->tracksBlock(blk) ||
-                    po.ctlFpCur.contains(blk) ||
-                    po.ctlFpLast.contains(blk))
-                    dep = true;
-            }
+            if (dir.sharers(blk) & others)
+                dep = true;
         };
         cs.ctlFpCur.forEach(overlaps);
         cs.ctlFpLast.forEach(overlaps);
@@ -1038,7 +1019,7 @@ class Machine
     Cycle now_ = 0;
     unsigned rr_ = 0;
     /** Event-driven ready-context index (cfg.schedIndex or a
-     * controller, <=64 ctxs). */
+     * controller). */
     SchedIndex sched_;
     bool useSchedIndex_ = false;
     /** Fallback-lock waiters parked by the indexed run loop; empty
@@ -1046,9 +1027,10 @@ class Machine
     LockWaiters waiters_;
     /** Set whenever a step mutates another context's scheduler state
      * (shootdown readyAt bump, barrier release, a lock release with
-     * waiters parked, controller wake event): the current batch's
-     * uniqueness proof no longer holds, so the loop returns to the
-     * index for the next pick. */
+     * waiters parked): the current batch's uniqueness proof no longer
+     * holds, so the loop returns to the index for the next pick. An
+     * abort signalled into another context is not such a mutation: the
+     * victim handles it when next picked, at its unchanged readyAt. */
     bool schedDirty_ = false;
     /** The last step re-checked a held fallback lock (the run loop
      * parks the context). */
@@ -1071,9 +1053,12 @@ checkThreadCount(const MachineConfig &cfg, unsigned num_threads)
         HINTM_FATAL("thread count ", num_threads,
                     " does not fit the machine's ", contexts,
                     " hardware contexts");
-    if (cfg.scheduleController && num_threads > 64)
+    if (num_threads > SchedIndex::maxContexts)
         HINTM_FATAL("thread count ", num_threads,
-                    " exceeds the schedule controller's limit of 64");
+                    " exceeds the simulator's limit of ",
+                    SchedIndex::maxContexts, " threads");
+    if (cfg.scheduleController && !cfg.mem.directory)
+        HINTM_FATAL("a schedule controller needs the coherence directory");
 }
 
 RunResult

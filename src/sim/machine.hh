@@ -78,8 +78,7 @@ struct MachineConfig
      * the reference O(contexts) rotating scan for a run without a
      * scheduleController (a controlled run always picks through the
      * index). Behavior-preserving: the step sequence and results are
-     * bit-identical either way. Machines with more than 64 contexts
-     * always use the scan. */
+     * bit-identical either way. */
     bool schedIndex = true;
     /** Shadow-track safe-hinted accesses and report any that overlap a
      * remote write (dynamic hint-soundness oracle). Observation only:
@@ -101,7 +100,8 @@ struct MachineConfig
     /** Scheduler nondeterminism hook (schedule.hh): tie-breaks and
      * TX-event preemption points route through it. Null (the default)
      * leaves every scheduler hot path untouched; the machine does not
-     * own the object. Requires <= 64 contexts. */
+     * own the object. Requires the coherence directory
+     * (checkThreadCount). */
     ScheduleController *scheduleController = nullptr;
     /** Seeded bug for the schedule explorer: hardware TXs skip the
      * fallback-lock readset subscription and fallback acquirers skip
@@ -202,10 +202,12 @@ RunResult runMachine(const MachineConfig &cfg, const tir::Module &module,
                      unsigned num_threads);
 
 /** HINTM_FATAL unless @p num_threads fits @p cfg's hardware contexts
- * (and a schedule controller's 64). The thread count is user input
- * (NAME@N, --threads, a .sched config line), not a simulator bug; the
- * machine checks it on construction, and a sweep may check it once
- * before fanning out. */
+ * and the simulator's 64, and unless a schedule controller, whose
+ * independence filter reads the directory's sharer masks, has the
+ * coherence directory. The thread count is user input (NAME@N,
+ * --threads, a .sched config line), not a simulator bug; the machine
+ * checks it on construction, and a sweep may check it once before
+ * fanning out. */
 void checkThreadCount(const MachineConfig &cfg, unsigned num_threads);
 
 /**

@@ -71,8 +71,8 @@ namespace sim
 class SchedIndex
 {
   public:
-    /** The bitmasks cap the machine size the index can serve; bigger
-     * machines fall back to the reference scan. */
+    /** The bitmasks cap the machine size, here as in the directory
+     * and the lock waiters: checkThreadCount rejects bigger machines. */
     static constexpr unsigned maxContexts = 64;
 
     /** At or below this size the readyAt mirror fits a cache line or

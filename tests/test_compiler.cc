@@ -544,8 +544,9 @@ TEST(Safety, MixedPointerTargetsStayUnsafe)
     for (const auto &bb : m.functions[std::size_t(fn)].blocks) {
         for (const auto &ins : bb.instrs) {
             if (ins.op == Opcode::Load &&
-                pt.regPts(fn, ins.a).size() > 1)
+                pt.regPts(fn, ins.a).size() > 1) {
                 EXPECT_FALSE(ins.safe);
+            }
         }
     }
     (void)fl;

@@ -16,7 +16,12 @@
  *  - intruder, kmeans and vacation on 64 contexts at Small, P8
  *    Baseline/Full with the same NUMA split: long fallback-lock convoys
  *    (Baseline commits 95%, 93% and 99.6% of their TXs through the
- *    lock), where parked lock waiters do most of the scheduling.
+ *    lock), where parked lock waiters do most of the scheduling;
+ *  - every kernel on P8 and P8S with a 4-entry TX buffer and a 64-bit
+ *    signature, 8 contexts at Tiny, Baseline/Full: P8 aborts on
+ *    capacity and P8S spills into its signature, which no
+ *    default-sized Tiny row does (there P8, P8S, L1TM and InfCap share
+ *    one digest).
  *
  * On a mismatch the test writes the table it computed to
  * digests.computed.txt next to its binary, so re-recording a deliberate
@@ -126,6 +131,16 @@ TEST(DigestTable, EveryRowMatchesTheRecordedTable)
         for (const Mechanism m : {Mechanism::Baseline, Mechanism::Full})
             add(k + ":small:64ctx", prepared.size() - 1, htm::HtmKind::P8, m,
                 64, 1, 4);
+    }
+    for (const std::string &k : kernels) {
+        prepared.push_back(bench::prepare(k, Scale::Tiny));
+        for (const htm::HtmKind kind : {htm::HtmKind::P8, htm::HtmKind::P8S})
+            for (const Mechanism m : {Mechanism::Baseline, Mechanism::Full}) {
+                add(k + ":tiny:8ctx:pressure", prepared.size() - 1, kind, m, 8,
+                    1, 1);
+                rows.back().opts.bufferEntries = 4;
+                rows.back().opts.signatureBits = 64;
+            }
     }
 
     std::vector<bench::MatrixJob> jobs;

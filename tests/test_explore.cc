@@ -414,6 +414,35 @@ TEST(ExplorerDpor, ReportDoesNotDependOnTheHintOracle)
     EXPECT_TRUE(fatalKinds(off).count("subscription"));
 }
 
+/** SMT siblings share an L1, so its sharer bit cannot say which of
+ * them holds a block: on a machine with more threads than cores no
+ * commit or abort may be judged independent, for either sibling. */
+TEST(ExplorerDpor, SmtSiblingsKeepEveryDecisionDependent)
+{
+    core::SystemOptions so = convoyOptions();
+    so.numCores = 1;
+    so.smtPerCore = 2;
+    sim::PlanScheduleController ctrl;
+    ctrl.reset({});
+    sim::MachineConfig cfg = core::makeMachineConfig(so);
+    cfg.scheduleController = &ctrl;
+    workloads::Workload wl =
+        workloads::buildConvoy(workloads::Scale::Tiny, 2);
+    sim::runMachine(cfg, wl.module, wl.threads);
+
+    unsigned judged[2] = {};
+    for (const sim::PlanScheduleController::Seen &s : ctrl.trace()) {
+        if (s.d.event != sim::SchedEvent::TxCommit &&
+            s.d.event != sim::SchedEvent::TxAbort)
+            continue;
+        ++judged[s.d.ctx];
+        EXPECT_TRUE(s.d.dependent)
+            << "ctx " << s.d.ctx << ", decision " << s.index;
+    }
+    EXPECT_GT(judged[0], 0u);
+    EXPECT_GT(judged[1], 0u);
+}
+
 // ---------------------------------------------------------------------
 // Scheduler-index wake edges under a non-default tie-break chooser.
 // ---------------------------------------------------------------------

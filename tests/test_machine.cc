@@ -38,6 +38,24 @@ run(Module &m, core::SystemOptions opts, unsigned threads)
     return core::simulate(opts, m, threads);
 }
 
+/** Each thread commits @p txs TXs that increment one shared counter. */
+Module
+counterModule(int txs)
+{
+    Module m;
+    m.globals.push_back({"counter", 8, 0});
+    FunctionBuilder f(m, "worker", 1);
+    f.forRangeI(0, txs, [&](Reg) {
+        f.txBegin();
+        const Reg g = f.globalAddr("counter");
+        f.store(g, f.addI(f.load(g), 1));
+        f.txEnd();
+    });
+    f.retVoid();
+    m.threadFunc = f.finish();
+    return m;
+}
+
 /** Every TX overflows: all work must be serialized via the lock. */
 Module
 overflowModule(int txs)
@@ -187,18 +205,7 @@ TEST(Machine, SmtSiblingsConflictThroughSharedL1)
 {
     // Two SMT contexts on one core: their TXs conflict via the sibling
     // notification path even though no bus transaction occurs.
-    Module m;
-    m.globals.push_back({"counter", 8, 0});
-    FunctionBuilder f(m, "worker", 1);
-    f.forRangeI(0, 100, [&](Reg) {
-        f.txBegin();
-        const Reg g = f.globalAddr("counter");
-        f.store(g, f.addI(f.load(g), 1));
-        f.txEnd();
-    });
-    f.retVoid();
-    m.threadFunc = f.finish();
-
+    Module m = counterModule(100);
     core::SystemOptions opts;
     opts.numCores = 1;
     opts.smtPerCore = 2;
@@ -327,6 +334,27 @@ TEST(Machine, ScheduleControllerTakesAtMostSixtyFourThreads)
     sim::MachineConfig cfg = core::makeMachineConfig(opts);
     cfg.scheduleController = &ctrl;
     EXPECT_THROW(sim::runMachine(cfg, m, 65), FatalError);
+}
+
+TEST(Machine, AtMostSixtyFourThreadsOnAnyMachine)
+{
+    // Every per-context mask is 64 bits wide, so a 65th thread is bad
+    // input even on a machine with the cores for it and no controller.
+    Module m = counterModule(1);
+    core::SystemOptions opts;
+    opts.numCores = 128;
+    EXPECT_THROW(run(m, opts, 65), FatalError);
+}
+
+TEST(Machine, ScheduleControllerNeedsTheDirectory)
+{
+    Module m = counterModule(4);
+    core::compileHints(m);
+    sim::DefaultScheduleController ctrl;
+    sim::MachineConfig cfg = core::makeMachineConfig(core::SystemOptions{});
+    cfg.mem.directory = false;
+    cfg.scheduleController = &ctrl;
+    EXPECT_THROW(sim::runMachine(cfg, m, 2), FatalError);
 }
 
 TEST(Machine, PreAbortHandlerConvertsInsteadOfAborting)
@@ -475,12 +503,12 @@ TEST(SimRun, EightCommitChunksMatchColdIndexedAndScanRuns)
 
 TEST(SimRun, ChunkExitsHandBackParkedLockWaiters)
 {
-    // With eager lock subscription a chunk never ends with waiters
-    // parked: its last commit either releases the lock (waking them
-    // all) or runs while the lock is free. The seeded lazy-subscription
-    // bug lets hardware TXs commit under a held lock, so one-commit
-    // chunks end mid-convoy; every exit must restore each waiter's
-    // exact readyAt or the chunked run drifts from the cold one.
+    // A release wakes no waiter: each stays parked until its group
+    // falls due, so chunks end with waiters parked on a free lock (the
+    // 8-commit chunks above do). The seeded lazy-subscription bug also
+    // lets hardware TXs commit under a held lock, so one-commit chunks
+    // end mid-convoy too; every exit must restore each waiter's exact
+    // readyAt or the chunked run drifts from the cold one.
     workloads::Workload wl =
         workloads::byName("vacation@64", workloads::Scale::Tiny);
     core::compileHints(wl.module);

@@ -350,7 +350,7 @@ TEST(MemSystem, DirtyPeerSuppliesAndL2Catches)
     EXPECT_GE(ms.statGroup().counter("writebacks").value(), 1u);
 }
 
-// ---- directory: sharer/owner-state maintenance ---------------------
+// ---- directory: sharer-mask maintenance ---------------------------
 
 TEST(Directory, FillSetsMaskAndDecidesExclusiveVsShared)
 {
@@ -362,17 +362,13 @@ TEST(Directory, FillSetsMaskAndDecidesExclusiveVsShared)
     ms.access(c0, 0x40, AccessType::Read);
     EXPECT_EQ(ms.sharerMaskOf(0x40), 0b01u); // only L1 0
     EXPECT_EQ(ms.probeL1(c0, 0x40)->state, CoherState::Exclusive);
-    EXPECT_EQ(ms.dirStateOf(0x40), DirState::Owned);
-    EXPECT_EQ(ms.ownerOf(0x40), 0);
 
     ms.access(c1, 0x40, AccessType::Read);
     EXPECT_EQ(ms.sharerMaskOf(0x40), 0b11u); // both L1s
     // The directory found the peer: the fill must be Shared, and the
-    // owner downgrade must be recorded.
+    // peer's exclusive copy downgrades.
     EXPECT_EQ(ms.probeL1(c1, 0x40)->state, CoherState::Shared);
     EXPECT_EQ(ms.probeL1(c0, 0x40)->state, CoherState::Shared);
-    EXPECT_EQ(ms.dirStateOf(0x40), DirState::Shared);
-    EXPECT_EQ(ms.ownerOf(0x40), Directory::noOwner);
 }
 
 TEST(Directory, EvictionClearsMask)
@@ -383,7 +379,6 @@ TEST(Directory, EvictionClearsMask)
     for (Addr i = 0; i <= 8; ++i) // overflow set 0; evicts block 0
         ms.access(c0, i * 128, AccessType::Read);
     EXPECT_EQ(ms.sharerMaskOf(0), 0u);
-    EXPECT_EQ(ms.dirStateOf(0), DirState::Uncached);
     EXPECT_EQ(ms.sharerMaskOf(8 * 128), 0b1u);
 }
 
@@ -398,21 +393,17 @@ TEST(Directory, UpgradeAndReadExclInvalidatePeerBits)
     ms.access(c1, 0x40, AccessType::Read);
     ms.access(c2, 0x40, AccessType::Read);
     EXPECT_EQ(ms.sharerMaskOf(0x40), 0b111u);
-    EXPECT_EQ(ms.dirStateOf(0x40), DirState::Shared);
 
     // Upgrade (write hit on Shared) invalidates both peers' copies and
-    // their directory bits, and records the requester as owner.
+    // their directory bits.
     ms.access(c0, 0x40, AccessType::Write);
     EXPECT_EQ(ms.sharerMaskOf(0x40), 0b001u);
-    EXPECT_EQ(ms.ownerOf(0x40), 0);
-    EXPECT_EQ(ms.dirStateOf(0x40), DirState::Owned);
     EXPECT_EQ(ms.probeL1(c1, 0x40), nullptr);
     EXPECT_EQ(ms.probeL1(c2, 0x40), nullptr);
 
-    // ReadExcl (write miss) steals the block: ownership hands off.
+    // ReadExcl (write miss) steals the block.
     ms.access(c1, 0x40, AccessType::Write);
     EXPECT_EQ(ms.sharerMaskOf(0x40), 0b010u);
-    EXPECT_EQ(ms.ownerOf(0x40), 1);
     EXPECT_EQ(ms.probeL1(c0, 0x40), nullptr);
 }
 
@@ -423,13 +414,9 @@ TEST(Directory, OwnerHandoffOnReadDowngradesThenStealBack)
     const ContextId c1 = ms.addContext(1);
 
     ms.access(c0, 0x40, AccessType::Write); // M at L1 0
-    EXPECT_EQ(ms.ownerOf(0x40), 0);
-    ms.access(c1, 0x40, AccessType::Read); // downgrade: shared, no owner
-    EXPECT_EQ(ms.dirStateOf(0x40), DirState::Shared);
-    EXPECT_EQ(ms.ownerOf(0x40), Directory::noOwner);
+    ms.access(c1, 0x40, AccessType::Read); // downgrade: both Shared
     EXPECT_EQ(ms.sharerMaskOf(0x40), 0b11u);
-    ms.access(c1, 0x40, AccessType::Write); // upgrade: L1 1 owns
-    EXPECT_EQ(ms.ownerOf(0x40), 1);
+    ms.access(c1, 0x40, AccessType::Write); // upgrade: only L1 1
     EXPECT_EQ(ms.sharerMaskOf(0x40), 0b10u);
 }
 
@@ -464,7 +451,7 @@ TEST(Directory, StaleSharerBitHealsOnMissedProbe)
     ms.addContext(1);
     Directory *dir = ms.directory();
     ASSERT_NE(dir, nullptr);
-    dir->recordFill(0x40, /*l1=*/1, /*exclusive=*/false); // stale bit
+    dir->recordFill(0x40, /*l1=*/1); // stale bit
     EXPECT_EQ(ms.sharerMaskOf(0x40), 0b10u);
 
     // c0's miss probes L1 1 (per the stale mask), finds nothing, and
@@ -473,7 +460,6 @@ TEST(Directory, StaleSharerBitHealsOnMissedProbe)
     ms.access(c0, 0x40, AccessType::Read);
     EXPECT_EQ(ms.sharerMaskOf(0x40), 0b01u);
     EXPECT_EQ(ms.probeL1(c0, 0x40)->state, CoherState::Exclusive);
-    EXPECT_EQ(ms.ownerOf(0x40), 0);
 }
 
 TEST(Directory, DisabledConfigFallsBackToBroadcast)
@@ -488,7 +474,6 @@ TEST(Directory, DisabledConfigFallsBackToBroadcast)
 
     ms.access(c0, 0x40, AccessType::Read);
     EXPECT_EQ(ms.sharerMaskOf(0x40), 0u); // directory not maintained
-    EXPECT_EQ(ms.dirStateOf(0x40), DirState::Uncached);
     ms.access(c1, 0x40, AccessType::Read);
     // Broadcast snoop still finds the peer copy.
     EXPECT_EQ(ms.probeL1(c0, 0x40)->state, CoherState::Shared);
@@ -526,15 +511,13 @@ TEST(Directory, GrowRehashPreservesAllMasks)
     Directory dir(/*initial_slots=*/64);
     const std::size_t cap0 = dir.capacity();
     for (Addr i = 0; i < 256; ++i) {
-        dir.recordFill(i * 64, unsigned(i % 8), /*exclusive=*/i % 2);
+        dir.recordFill(i * 64, unsigned(i % 8));
         dir.txTrack(i * 64, unsigned(i % 16));
     }
     EXPECT_GT(dir.capacity(), cap0); // grew at least once
     for (Addr i = 0; i < 256; ++i) {
         EXPECT_EQ(dir.sharers(i * 64), std::uint64_t(1) << (i % 8));
         EXPECT_EQ(dir.txTrackers(i * 64), std::uint64_t(1) << (i % 16));
-        EXPECT_EQ(dir.owner(i * 64),
-                  i % 2 ? std::int16_t(i % 8) : Directory::noOwner);
     }
     EXPECT_EQ(dir.trackedBlocks(), 256u);
 }
@@ -549,11 +532,9 @@ TEST(Directory, WideMasksCoverSixtyFourL1s)
     for (unsigned i = 0; i < 64; ++i)
         ms.access(ids[i], 0x40, AccessType::Read);
     EXPECT_EQ(ms.sharerMaskOf(0x40), ~std::uint64_t(0));
-    EXPECT_EQ(ms.dirStateOf(0x40), DirState::Shared);
     // A write from the highest L1 invalidates the other 63 copies.
     ms.access(ids[63], 0x40, AccessType::Write);
     EXPECT_EQ(ms.sharerMaskOf(0x40), std::uint64_t(1) << 63);
-    EXPECT_EQ(ms.ownerOf(0x40), 63);
 }
 
 // ---- NUMA latency tiers --------------------------------------------

@@ -261,6 +261,13 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, DeterminismProperty,
  * (one home node per 16 cores). Broadcast coherence is also checked on
  * 4 cores x 2 SMT, where tracker filtering decides which same-L1
  * sibling hears each access and eviction.
+ *
+ * At the default sizes no Tiny kernel overflows any backend, so the
+ * "pressure" shape shrinks the TX buffer to 4 entries, the P8S
+ * signature to 64 bits and the L1 to 4 KB on 8 contexts (and on
+ * 4 cores x 2 SMT for Broadcast): P8 aborts on capacity, P8S spills
+ * into its signature and conflicts falsely through it, and L1TM loses
+ * tracked lines to set conflicts.
  */
 enum class RefPath
 {
@@ -279,6 +286,7 @@ struct RefCase
     unsigned smt;
     unsigned numaNodes;
     core::Mechanism mech;
+    bool pressure;
 };
 
 /** Readable case name (CTest names the cases after it). */
@@ -292,6 +300,8 @@ PrintTo(const RefCase &c, std::ostream *os)
     if (c.smt > 1)
         *os << c.smt << "smt:";
     *os << c.numaNodes << "node:" << core::mechanismName(c.mech);
+    if (c.pressure)
+        *os << ":pressure";
 }
 
 std::vector<RefCase>
@@ -300,10 +310,12 @@ allRefCases()
     struct Shape
     {
         unsigned contexts, smt, numaNodes;
+        bool pressure = false;
     };
-    // The SMT shape runs under the Broadcast path only.
-    const Shape shapes[] = {{8, 1, 1},  {32, 1, 1}, {32, 1, 2},
-                            {64, 1, 1}, {64, 1, 4}, {8, 2, 1}};
+    // The SMT shapes run under the Broadcast path only.
+    const Shape shapes[] = {{8, 1, 1},       {32, 1, 1}, {32, 1, 2},
+                            {64, 1, 1},      {64, 1, 4}, {8, 2, 1},
+                            {8, 1, 1, true}, {8, 2, 1, true}};
     std::vector<RefCase> cases;
     for (const RefPath path : {RefPath::Broadcast, RefPath::Translate,
                                RefPath::Interpreter, RefPath::SchedScan})
@@ -316,7 +328,8 @@ allRefCases()
                     for (const core::Mechanism mech :
                          {core::Mechanism::Baseline, core::Mechanism::Full})
                         cases.push_back({path, kernel, kind, s.contexts,
-                                         s.smt, s.numaNodes, mech});
+                                         s.smt, s.numaNodes, mech,
+                                         s.pressure});
                 }
     return cases;
 }
@@ -344,7 +357,13 @@ TEST_P(ReferencePathEquivalence, FastPathMatchesReferenceExactly)
     opts.numaNodes = c.numaNodes;
     opts.collectTxSizes = true;
     opts.collectRawStats = true;
-    const sim::MachineConfig fast = core::makeMachineConfig(opts);
+    if (c.pressure) {
+        opts.bufferEntries = 4;
+        opts.signatureBits = 64;
+    }
+    sim::MachineConfig fast = core::makeMachineConfig(opts);
+    if (c.pressure)
+        fast.mem.l1SizeBytes = 4096;
     ASSERT_TRUE(fast.mem.directory && fast.vm.translationCache &&
                 fast.decodeCache && fast.schedIndex);
     sim::MachineConfig ref = fast;

@@ -358,11 +358,8 @@ run(int argc, char **argv)
             sf.seed = s.seed;
             sf.decisions = first->decisions;
             sf.preemptAt = first->plan;
-            if (!sim::writeScheduleFile(scheduleOut, sf)) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             scheduleOut.c_str());
-                return 2;
-            }
+            if (!sim::writeScheduleFile(scheduleOut, sf))
+                HINTM_FATAL("cannot write ", scheduleOut);
             std::printf("failing schedule  : %s\n", scheduleOut.c_str());
         }
     }
@@ -371,12 +368,7 @@ run(int argc, char **argv)
         if (jsonPath.empty()) {
             writeJson(std::cout, s, opt, rep);
         } else {
-            std::ofstream os(jsonPath);
-            if (!os) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             jsonPath.c_str());
-                return 2;
-            }
+            std::ofstream os = openOutput(jsonPath);
             writeJson(os, s, opt, rep);
             std::printf("json report       : %s\n", jsonPath.c_str());
         }

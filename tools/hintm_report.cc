@@ -445,12 +445,7 @@ run(int argc, char **argv)
     if (outPath.empty()) {
         std::fputs(report.str().c_str(), stdout);
     } else {
-        std::ofstream os(outPath);
-        if (!os) {
-            std::fprintf(stderr, "cannot write %s\n", outPath.c_str());
-            return 1;
-        }
-        os << report.str();
+        openOutput(outPath) << report.str();
         std::printf("report: %s\n", outPath.c_str());
     }
     return 0;

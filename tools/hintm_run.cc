@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 
 #include "bench_util.hh"
@@ -310,13 +311,17 @@ run(int argc, char **argv)
     if (!perfettoPath.empty() || !statsJsonPath.empty()) {
         const std::vector<sim::JournalRun> runs = {
             {wl.name, opts.label(), wl.threads, &r}};
-        if (!perfettoPath.empty() &&
-            sim::writePerfettoTrace(perfettoPath, runs))
+        if (!perfettoPath.empty()) {
+            std::ofstream os = openOutput(perfettoPath);
+            sim::writePerfettoTrace(os, runs);
             std::printf("perfetto trace    : %s\n", perfettoPath.c_str());
-        if (!statsJsonPath.empty() &&
-            sim::writeStatsJson(statsJsonPath, runs))
+        }
+        if (!statsJsonPath.empty()) {
+            std::ofstream os = openOutput(statsJsonPath);
+            sim::writeStatsJson(os, runs);
             std::printf("stats json        : %s\n",
                         statsJsonPath.c_str());
+        }
     }
     if (stats) {
         std::printf("\n-- raw statistics --\n%s", r.rawStats.c_str());
