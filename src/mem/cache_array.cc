@@ -1,5 +1,8 @@
 #include "cache_array.hh"
 
+#include <algorithm>
+#include <ios>
+
 #include "common/logging.hh"
 
 namespace hintm
@@ -36,7 +39,7 @@ CacheArray::insert(Addr block_addr, CoherState state, TxMask tx_mask)
     HINTM_ASSERT(state != CoherState::Invalid, "inserting invalid line");
     Eviction ev;
     const std::uint64_t set = geom_.indexOf(block_addr);
-    const std::uint64_t tag = geom_.tagOf(block_addr);
+    const std::uint32_t tag = tagOf(block_addr);
     CacheLine *const base = &lines_[set * geom_.assoc()];
 
     CacheLine *victim = nullptr;       // preferred: invalid or unpinned
@@ -47,7 +50,7 @@ CacheArray::insert(Addr block_addr, CoherState state, TxMask tx_mask)
         if (line.valid() && line.tag == tag) {
             // Re-insert over an existing copy: just update state.
             line.state = state;
-            line.lruStamp = ++clock_;
+            line.lruStamp = tick();
             return ev;
         }
         if (!line.valid()) {
@@ -76,8 +79,39 @@ CacheArray::insert(Addr block_addr, CoherState state, TxMask tx_mask)
     victim->tag = tag;
     victim->state = state;
     victim->txMask = tx_mask;
-    victim->lruStamp = ++clock_;
+    victim->lruStamp = tick();
     return ev;
+}
+
+void
+CacheArray::renumberStamps()
+{
+    std::vector<CacheLine *> order;
+    for (std::size_t set = 0; set < lines_.size(); set += geom_.assoc()) {
+        order.clear();
+        for (unsigned way = 0; way < geom_.assoc(); ++way) {
+            CacheLine &line = lines_[set + way];
+            if (line.valid())
+                order.push_back(&line);
+            else
+                line.lruStamp = 0;
+        }
+        std::sort(order.begin(), order.end(),
+                  [](const CacheLine *a, const CacheLine *b) {
+                      return a->lruStamp < b->lruStamp;
+                  });
+        std::uint32_t rank = 0;
+        for (CacheLine *line : order)
+            line->lruStamp = ++rank;
+    }
+    clock_ = geom_.assoc();
+}
+
+void
+CacheArray::tagTooWide(Addr block_addr) const
+{
+    HINTM_FATAL("address 0x", std::hex, block_addr, std::dec,
+                " needs a cache tag wider than 32 bits");
 }
 
 void

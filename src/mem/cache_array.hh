@@ -3,6 +3,12 @@
  * Tag-only set-associative cache array with true-LRU replacement. Holds
  * coherence state but no data: functional values live in the interpreter's
  * address space, so caches model timing and coherence only.
+ *
+ * A line is 12 bytes: a 32-bit tag, the L1TM TX bits, and the coherence
+ * state packed with a 24-bit LRU stamp. Before the array's clock would
+ * pass 24 bits, every set's stamps are renumbered 1..k in their existing
+ * order, so replacement stays exact LRU. An address whose tag needs
+ * more than 32 bits ends the run with a fatal error.
  */
 
 #ifndef HINTM_MEM_CACHE_ARRAY_HH
@@ -27,24 +33,28 @@ using TxMask = std::uint32_t;
 /** Contexts one L1 can hold when its lines carry their TX bits. */
 constexpr unsigned txMaskBits = 32;
 
+/** Bits of CacheLine::lruStamp. */
+constexpr unsigned lruStampBits = 24;
+
 /** One cache line's bookkeeping. */
 struct CacheLine
 {
-    std::uint64_t tag = 0;
-    CoherState state = CoherState::Invalid;
+    std::uint32_t tag = 0;
     /** L1TM tracking bits: bit s is set while the TX of the context in
      * slot s of this L1 tracks the line's block. A line with any bit
      * set is pinned (see CacheArray::insert). Zero in the L2 and under
-     * every other HTM kind. Sits in the padding after state. */
+     * every other HTM kind. */
     TxMask txMask = 0;
-    /** LRU timestamp; larger means more recently used. */
-    std::uint64_t lruStamp = 0;
+    CoherState state : 8 = CoherState::Invalid;
+    /** LRU timestamp; larger means more recently used. Unique among the
+     * valid lines of a set. */
+    std::uint32_t lruStamp : lruStampBits = 0;
 
     bool valid() const { return state != CoherState::Invalid; }
 };
 
-// 131K lines back the 8 MB L2 alone: the TX bits must not grow a line.
-static_assert(sizeof(CacheLine) == 24, "CacheLine grew past 24 bytes");
+// 131K lines back the 8 MB L2 alone.
+static_assert(sizeof(CacheLine) == 12, "CacheLine grew past 12 bytes");
 
 /** Description of a line displaced by an insertion. */
 struct Eviction
@@ -72,7 +82,7 @@ class CacheArray
     {
         CacheLine *line = findLine(block_addr);
         if (line)
-            line->lruStamp = ++clock_;
+            line->lruStamp = tick();
         return line;
     }
 
@@ -128,10 +138,39 @@ class CacheArray
     std::uint64_t countValid() const;
 
   private:
+    static constexpr std::uint32_t maxStamp =
+        (std::uint32_t(1) << lruStampBits) - 1;
+
+    /** @p block_addr's tag; fatal when it needs more than 32 bits. */
+    std::uint32_t
+    tagOf(Addr block_addr) const
+    {
+        const std::uint64_t tag = geom_.tagOf(block_addr);
+        if (tag >> 32) [[unlikely]]
+            tagTooWide(block_addr);
+        return std::uint32_t(tag);
+    }
+
+    [[noreturn]] void tagTooWide(Addr block_addr) const;
+
+    /** The next LRU stamp, renumbering the sets first when the clock
+     * would pass lruStampBits. */
+    std::uint32_t
+    tick()
+    {
+        if (clock_ == maxStamp) [[unlikely]]
+            renumberStamps();
+        return ++clock_;
+    }
+
+    /** Restamp each set's valid lines 1..k in LRU order and restart the
+     * clock above every set's k. */
+    void renumberStamps();
+
     CacheLine *
     findLine(Addr block_addr)
     {
-        const std::uint64_t tag = geom_.tagOf(block_addr);
+        const std::uint32_t tag = tagOf(block_addr);
         CacheLine *const set =
             &lines_[geom_.indexOf(block_addr) * geom_.assoc()];
         for (CacheLine *line = set, *end = set + geom_.assoc(); line != end;
@@ -144,7 +183,7 @@ class CacheArray
 
     CacheGeometry geom_;
     std::vector<CacheLine> lines_;
-    std::uint64_t clock_ = 0;
+    std::uint32_t clock_ = 0;
 };
 
 } // namespace mem

@@ -16,12 +16,13 @@
  * blocks, so signature-carrying contexts are recorded in a separate
  * sig-active mask and receive every remote write regardless of trackers.
  *
- * The table is open-addressing with linear probing; entries whose masks
- * all drop to zero stay in the table and are reused when the block is
- * touched again, so no tombstones are needed. The directory is
- * maintained precisely by MemorySystem, but sharer lookups tolerate
- * stale (superset) masks: a probe of a masked L1 that misses simply
- * heals the entry.
+ * The table is open-addressing with linear probing and holds live
+ * blocks only: once both masks of a slot are zero the slot is erased by
+ * backward-shift deletion (no tombstones), so its size follows what the
+ * L1s cache and the TXs track, not how many blocks were ever touched.
+ * The directory is maintained precisely by MemorySystem, but sharer
+ * lookups tolerate stale (superset) masks: a probe of a masked L1 that
+ * misses simply heals the entry.
  */
 
 #ifndef HINTM_MEM_DIRECTORY_HH
@@ -71,8 +72,10 @@ class Directory
     removeSharer(Addr block, unsigned l1)
     {
         Slot *s = findSlot(block);
-        if (s->block == block)
+        if (s->block == block) {
             s->sharerMask &= ~(std::uint64_t(1) << l1);
+            eraseIfDead(s);
+        }
     }
 
     // ---- transactional trackers ------------------------------------
@@ -91,8 +94,10 @@ class Directory
     txUntrack(Addr block, unsigned ctx)
     {
         Slot *s = findSlot(block);
-        if (s->block == block)
+        if (s->block == block) {
             s->trackerMask &= ~(std::uint64_t(1) << ctx);
+            eraseIfDead(s);
+        }
     }
 
     /** Contexts whose TXs track @p block precisely. */
@@ -130,6 +135,10 @@ class Directory
         return n;
     }
 
+    /** Number of slots in use: every one holds a live block (testing
+     * aid). */
+    std::size_t size() const { return used_; }
+
     std::size_t capacity() const { return slots_.size(); }
 
   private:
@@ -142,13 +151,19 @@ class Directory
         std::uint64_t trackerMask = 0;
     };
 
+    std::size_t
+    home(Addr block) const
+    {
+        return std::size_t(block * 0x9E3779B97F4A7C15ull >> 32) &
+               (slots_.size() - 1);
+    }
+
     /** Slot holding @p block, or the empty slot where it would go. */
     Slot *
     findSlot(Addr block)
     {
         const std::size_t mask = slots_.size() - 1;
-        std::size_t i =
-            std::size_t(block * 0x9E3779B97F4A7C15ull >> 32) & mask;
+        std::size_t i = home(block);
         while (slots_[i].block != emptyKey && slots_[i].block != block)
             i = (i + 1) & mask;
         return &slots_[i];
@@ -158,16 +173,41 @@ class Directory
     Slot *
     insertSlot(Addr block)
     {
-        if ((used_ + 1) * 4 > slots_.size() * 3)
-            grow();
         Slot *s = findSlot(block);
-        if (s->block != block) {
-            s->block = block;
-            s->sharerMask = 0;
-            s->trackerMask = 0;
-            ++used_;
+        if (s->block == block)
+            return s;
+        if ((used_ + 1) * 4 > slots_.size() * 3) {
+            grow();
+            s = findSlot(block);
         }
+        s->block = block;
+        ++used_;
         return s;
+    }
+
+    /**
+     * Erase @p s once both of its masks are zero, by backward-shift
+     * deletion: pull each later entry of the probe run into the hole
+     * when the hole lies between its home and its slot, so every
+     * remaining block stays reachable from its home.
+     */
+    void
+    eraseIfDead(Slot *s)
+    {
+        if (s->sharerMask | s->trackerMask)
+            return;
+        const std::size_t mask = slots_.size() - 1;
+        std::size_t hole = std::size_t(s - slots_.data());
+        for (std::size_t j = (hole + 1) & mask;
+             slots_[j].block != emptyKey; j = (j + 1) & mask) {
+            if (((j - home(slots_[j].block)) & mask) >=
+                ((j - hole) & mask)) {
+                slots_[hole] = slots_[j];
+                hole = j;
+            }
+        }
+        slots_[hole] = Slot{};
+        --used_;
     }
 
     void

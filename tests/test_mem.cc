@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mem/cache_array.hh"
@@ -217,6 +222,194 @@ TEST(CacheArray, CountValidAndSweep)
     unsigned seen = 0;
     arr.forEachValid([&](Addr, CacheLine &) { ++seen; });
     EXPECT_EQ(seen, 2u);
+}
+
+namespace
+{
+
+/** The replacement policy CacheArray documents, with 64-bit stamps that
+ * never wrap: the reference for its 24-bit stamps. */
+class ReferenceArray
+{
+  public:
+    ReferenceArray(unsigned sets, unsigned ways)
+        : sets_(sets), ways_(ways), lines_(sets * ways)
+    {
+    }
+
+    bool
+    lookup(Addr block)
+    {
+        Line *l = find(block);
+        if (l)
+            l->stamp = ++clock_;
+        return l != nullptr;
+    }
+
+    Eviction
+    insert(Addr block, CoherState state, TxMask tx)
+    {
+        Eviction ev;
+        Line *set = &lines_[setOf(block) * ways_];
+        Line *victim = nullptr, *pinned = nullptr;
+        for (Line *l = set; l != set + ways_; ++l) {
+            if (l->valid && l->block == block) {
+                l->dirty = state == CoherState::Modified;
+                l->stamp = ++clock_;
+                return ev;
+            }
+        }
+        for (Line *l = set; l != set + ways_; ++l) {
+            if (!l->valid) {
+                victim = l; // the first invalid way
+                break;
+            }
+        }
+        if (!victim) {
+            // LRU among unpinned lines, else LRU among pinned ones.
+            for (Line *l = set; l != set + ways_; ++l) {
+                Line *&best = l->tx ? pinned : victim;
+                if (!best || l->stamp < best->stamp)
+                    best = l;
+            }
+            if (!victim) {
+                victim = pinned;
+                ++pinnedVictims;
+            }
+        }
+        if (victim->valid) {
+            ev.happened = true;
+            ev.blockAddr = victim->block;
+            ev.dirty = victim->dirty;
+        }
+        *victim = Line{true, block, state == CoherState::Modified, tx,
+                       ++clock_};
+        return ev;
+    }
+
+    void
+    invalidate(Addr block)
+    {
+        if (Line *l = find(block))
+            l->valid = false;
+    }
+
+    void
+    setTx(Addr block, TxMask tx)
+    {
+        if (Line *l = find(block))
+            l->tx = tx;
+    }
+
+    std::uint64_t clock() const { return clock_; }
+
+    /** Fills that found every way of their set pinned. */
+    std::uint64_t pinnedVictims = 0;
+
+  private:
+    struct Line
+    {
+        bool valid = false;
+        Addr block = 0;
+        bool dirty = false;
+        TxMask tx = 0;
+        std::uint64_t stamp = 0;
+    };
+
+    unsigned setOf(Addr block) const { return (block / blockBytes) % sets_; }
+
+    Line *
+    find(Addr block)
+    {
+        Line *set = &lines_[setOf(block) * ways_];
+        for (Line *l = set; l != set + ways_; ++l) {
+            if (l->valid && l->block == block)
+                return l;
+        }
+        return nullptr;
+    }
+
+    unsigned sets_, ways_;
+    std::vector<Line> lines_;
+    std::uint64_t clock_ = 0;
+};
+
+} // namespace
+
+TEST(CacheArray, LruStaysExactPastTheStampWidth)
+{
+    // 24-bit stamps wrap after 2^24 ticks: the array renumbers its sets
+    // first. Drive one small array well past that point, with pinned
+    // lines, unpinning, invalidations and re-inserts, and require every
+    // hit and every victim to match the 64-bit reference.
+    CacheArray arr(CacheGeometry(1024, 4)); // 4 sets x 4 ways
+    ReferenceArray ref(4, 4);
+    std::mt19937 rng(26);
+    const Addr pool = 32; // 8 blocks per set
+    const std::uint64_t ticks = (std::uint64_t(1) << lruStampBits) + 300000;
+    std::uint64_t evictions = 0;
+    while (ref.clock() < ticks) {
+        const std::uint32_t r = rng();
+        const Addr block = Addr(r % pool) * blockBytes;
+        switch ((r >> 8) % 64) {
+          case 0:
+            arr.invalidate(block);
+            ref.invalidate(block);
+            continue;
+          case 1:
+          case 2:
+          case 3:
+            if (CacheLine *line = arr.probe(block))
+                line->txMask = 0;
+            ref.setTx(block, 0);
+            continue;
+          case 4: {
+            // Re-insert over a resident copy (an L2 writeback).
+            const Eviction a = arr.insert(block, CoherState::Modified);
+            const Eviction b = ref.insert(block, CoherState::Modified, 0);
+            ASSERT_EQ(a.happened, b.happened) << "tick " << ref.clock();
+            ASSERT_EQ(a.blockAddr, b.blockAddr) << "tick " << ref.clock();
+            ASSERT_EQ(a.dirty, b.dirty) << "tick " << ref.clock();
+            continue;
+          }
+          default:
+            break;
+        }
+        const bool hit = arr.lookup(block) != nullptr;
+        ASSERT_EQ(hit, ref.lookup(block)) << "tick " << ref.clock();
+        if (hit)
+            continue;
+        const CoherState st =
+            (r >> 16) % 2 ? CoherState::Modified : CoherState::Shared;
+        const TxMask tx = (r >> 20) % 4 == 0 ? TxMask(1) << (r >> 24) % 2
+                                             : 0;
+        const Eviction a = arr.insert(block, st, tx);
+        const Eviction b = ref.insert(block, st, tx);
+        ASSERT_EQ(a.happened, b.happened) << "tick " << ref.clock();
+        ASSERT_EQ(a.blockAddr, b.blockAddr) << "tick " << ref.clock();
+        ASSERT_EQ(a.dirty, b.dirty) << "tick " << ref.clock();
+        evictions += a.happened;
+    }
+    EXPECT_GT(evictions, 1000000u);
+    EXPECT_GT(ref.pinnedVictims, 1000u);
+}
+
+TEST(CacheArray, TagWiderThan32BitsIsFatal)
+{
+    MemorySystem ms(smallConfig(), 1);
+    const ContextId c0 = ms.addContext(0);
+    // 2 sets of 64-byte blocks: tags hold address bits 7 and up, so the
+    // highest block with a 32-bit tag ends just below 2^39.
+    const Addr top = (Addr(1) << 39) - blockBytes;
+    EXPECT_FALSE(ms.access(c0, top, AccessType::Write).l1Hit);
+    EXPECT_TRUE(ms.access(c0, top, AccessType::Read).l1Hit);
+
+    testing::internal::CaptureStderr();
+    EXPECT_THROW(ms.access(c0, top + blockBytes, AccessType::Read),
+                 FatalError);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(err.rfind("fatal: ", 0), 0u) << err;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
 }
 
 TEST(MemSystem, LatencyTiers)
@@ -520,6 +713,130 @@ TEST(Directory, GrowRehashPreservesAllMasks)
         EXPECT_EQ(dir.txTrackers(i * 64), std::uint64_t(1) << (i % 16));
     }
     EXPECT_EQ(dir.trackedBlocks(), 256u);
+}
+
+TEST(Directory, LiveOnlyTableMatchesMapReference)
+{
+    // A seeded mix of the four mask updates must leave, after every
+    // step, exactly the blocks of a map that forgets a block once both
+    // of its masks are zero, each with the same masks. Phase 1 keeps a
+    // 64-slot table and crowds its last slots, so probe chains wrap
+    // past the end and backward-shift deletion moves entries across
+    // it; phase 2 grows the table and then drains it.
+    using Masks = std::pair<std::uint64_t, std::uint64_t>;
+    Directory dir(/*initial_slots=*/64);
+    std::unordered_map<Addr, Masks> ref;
+    std::mt19937 rng(7);
+    std::size_t peak = 0;
+
+    const auto home = [](Addr b) {
+        return std::size_t(b * 0x9E3779B97F4A7C15ull >> 32) & 63;
+    };
+    std::vector<Addr> crowded, other;
+    for (Addr b = 0; crowded.size() < 24 || other.size() < 16; b += 64) {
+        if (home(b) >= 60 && crowded.size() < 24)
+            crowded.push_back(b);
+        else if (home(b) < 60 && other.size() < 16)
+            other.push_back(b);
+    }
+    std::vector<Addr> pool = crowded;
+    pool.insert(pool.end(), other.begin(), other.end());
+
+    const auto step = [&](unsigned steps, unsigned remove_pct) {
+        for (unsigned n = 0; n < steps; ++n) {
+            const std::uint32_t r = rng();
+            const Addr b = pool[r % pool.size()];
+            const unsigned bit = (r >> 12) % 4;
+            const std::uint64_t m = std::uint64_t(1) << bit;
+            const bool remove = (r >> 16) % 100 < remove_pct;
+            const bool tracker = (r >> 24) % 2;
+            if (!remove) {
+                Masks &e = ref[b];
+                if (tracker) {
+                    dir.txTrack(b, bit);
+                    e.second |= m;
+                } else {
+                    dir.recordFill(b, bit);
+                    e.first |= m;
+                }
+            } else {
+                if (tracker)
+                    dir.txUntrack(b, bit);
+                else
+                    dir.removeSharer(b, bit);
+                auto it = ref.find(b);
+                if (it != ref.end()) {
+                    (tracker ? it->second.second : it->second.first) &= ~m;
+                    if (it->second.first == 0 && it->second.second == 0)
+                        ref.erase(it);
+                }
+            }
+            peak = std::max(peak, ref.size());
+            ASSERT_EQ(dir.size(), ref.size()) << "step " << n;
+            for (const Addr p : pool) {
+                const auto it = ref.find(p);
+                const Masks want = it == ref.end() ? Masks{} : it->second;
+                ASSERT_EQ(dir.sharers(p), want.first) << "step " << n;
+                ASSERT_EQ(dir.txTrackers(p), want.second) << "step " << n;
+            }
+            // A table grows only when its live blocks fill 3/4 of it.
+            ASSERT_TRUE(dir.capacity() == 64 ||
+                        dir.capacity() * 3 < peak * 8)
+                << "capacity " << dir.capacity() << ", peak " << peak;
+        }
+    };
+
+    step(20000, 45);
+    EXPECT_EQ(dir.capacity(), 64u);
+    EXPECT_GT(peak, 30u);
+
+    for (Addr b = 1 << 20; pool.size() < 400; b += 64)
+        pool.push_back(b);
+    step(20000, 30);
+    EXPECT_GT(dir.capacity(), 64u);
+    step(20000, 100);
+    EXPECT_LT(ref.size(), peak / 4);
+}
+
+TEST(Directory, HoldsOnlyBlocksSomeL1Caches)
+{
+    // Evictions and invalidations hand slots back: after a churn of
+    // fills, write steals and evictions the table holds exactly the
+    // blocks resident in some L1.
+    MemorySystem ms(smallConfig(), 2); // 16 lines per L1
+    const ContextId c0 = ms.addContext(0);
+    const ContextId c1 = ms.addContext(1);
+    for (unsigned step = 0; step < 500; ++step) {
+        const Addr a = Addr(step * 7919 % 97) * 64;
+        ms.access(step % 2 ? c1 : c0, a,
+                  step % 3 ? AccessType::Read : AccessType::Write);
+    }
+    std::size_t resident = 0;
+    for (Addr b = 0; b < 97; ++b) {
+        const std::uint64_t want =
+            (ms.probeL1(c0, b * 64) ? 1u : 0u) |
+            (ms.probeL1(c1, b * 64) ? 2u : 0u);
+        EXPECT_EQ(ms.sharerMaskOf(b * 64), want) << "block " << b;
+        resident += want != 0;
+    }
+    EXPECT_EQ(ms.directory()->size(), resident);
+    EXPECT_LE(resident, 32u);
+}
+
+TEST(Directory, L1HitWithoutSiblingsClaimsNoSlot)
+{
+    MemorySystem ms(smallConfig(), 2);
+    const ContextId c0 = ms.addContext(0);
+    ms.access(c0, 0x40, AccessType::Read);
+    Directory *dir = ms.directory();
+    ASSERT_EQ(dir->size(), 1u);
+    // Drop the entry by hand: a hit that claimed the block's slot would
+    // bring an empty one back.
+    dir->removeSharer(0x40, 0);
+    ASSERT_EQ(dir->size(), 0u);
+    EXPECT_TRUE(ms.access(c0, 0x40, AccessType::Read).l1Hit);
+    EXPECT_TRUE(ms.access(c0, 0x40, AccessType::Write).l1Hit); // E -> M
+    EXPECT_EQ(dir->size(), 0u);
 }
 
 TEST(Directory, WideMasksCoverSixtyFourL1s)

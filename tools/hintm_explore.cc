@@ -198,11 +198,8 @@ int
 replay(const std::string &path)
 {
     sim::ScheduleFile sf;
-    if (!sim::readScheduleFile(path, sf)) {
-        std::fprintf(stderr, "cannot read schedule file %s\n",
-                     path.c_str());
-        return 2;
-    }
+    if (!sim::readScheduleFile(path, sf))
+        HINTM_FATAL("cannot read schedule file ", path);
     Setup s;
     s.workload = sf.workload;
     s.seed = sf.seed;
@@ -210,11 +207,8 @@ replay(const std::string &path)
         s.workload = "hintrace";
         s.bug = true;
     }
-    if (!decodeConfig(sf.config, s)) {
-        std::fprintf(stderr, "bad config line in %s: '%s'\n",
-                     path.c_str(), sf.config.c_str());
-        return 2;
-    }
+    if (!decodeConfig(sf.config, s))
+        HINTM_FATAL("bad config line in ", path, ": '", sf.config, "'");
     const workloads::Workload wl = buildWorkload(s);
     sim::MachineConfig cfg = makeConfig(s);
     sim::PlanScheduleController ctrl;
