@@ -62,6 +62,8 @@ run(int argc, char **argv)
     bench::PreparedWorkload p;
     p.wl = annotatedLabyrinth(args.scale);
     p.compileReport = core::compileHints(p.wl.module);
+    if (args.lint)
+        bench::lintGate(p.wl);
     std::printf("compiler: %s\n\n", p.compileReport.summary().c_str());
 
     TextTable t;
@@ -82,8 +84,7 @@ run(int argc, char **argv)
 
     const std::vector<bench::MatrixJob> jobs = {
         {&p, base}, {&p, notary}, {&p, st}, {&p, full}, {&p, both}};
-    const std::vector<sim::RunResult> res = bench::runMatrix(jobs,
-                                                             args.jobs);
+    const std::vector<sim::RunResult> res = bench::runMatrix(jobs, args);
 
     const std::uint64_t base_cycles = res[0].cycles;
     const char *const labels[] = {"baseline", "Notary (annot only)",

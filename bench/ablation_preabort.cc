@@ -33,7 +33,7 @@ run(int argc, char **argv)
     std::vector<bench::PreparedWorkload> prepared;
     prepared.reserve(args.only.size());
     for (const std::string &name : args.only)
-        prepared.push_back(bench::prepare(name, args.scale));
+        prepared.push_back(bench::prepare(name, args.scale, 0, args.lint));
 
     std::vector<bench::MatrixJob> jobs;
     for (const bench::PreparedWorkload &p : prepared) {
@@ -53,8 +53,7 @@ run(int argc, char **argv)
         both.preAbortHandler = true;
         jobs.push_back({&p, both});
     }
-    const std::vector<sim::RunResult> res = bench::runMatrix(jobs,
-                                                             args.jobs);
+    const std::vector<sim::RunResult> res = bench::runMatrix(jobs, args);
 
     for (std::size_t w = 0; w < args.only.size(); ++w) {
         const std::string &name = args.only[w];

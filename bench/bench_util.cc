@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <mutex>
 #include <thread>
 
@@ -11,7 +12,6 @@
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "compiler/race_lint.hh"
-#include "sim/journal_io.hh"
 
 namespace hintm
 {
@@ -46,7 +46,6 @@ BenchArgs::parse(int argc, char **argv)
             a.jobs = parseFlag<unsigned>(arg, next());
         } else if (arg == "--lint") {
             a.lint = true;
-            setLintOnPrepare(true);
         } else if (arg == "--journal") {
             a.journal = true;
         } else if (arg == "--metrics") {
@@ -70,8 +69,6 @@ BenchArgs::parse(int argc, char **argv)
             HINTM_FATAL("unknown argument ", arg);
         }
     }
-    if (!a.perfettoPath.empty() || !a.statsJsonPath.empty())
-        setObservabilityExport(a.perfettoPath, a.statsJsonPath);
     return a;
 }
 
@@ -90,112 +87,26 @@ BenchArgs::options() const
     return o;
 }
 
-namespace
-{
-bool lintOnPrepare = false;
-} // namespace
-
-void
-setLintOnPrepare(bool on)
-{
-    lintOnPrepare = on;
-}
-
 PreparedWorkload
-prepare(const std::string &name, workloads::Scale s, unsigned threads)
+prepare(const std::string &name, workloads::Scale s, unsigned threads,
+        bool lint)
 {
     PreparedWorkload p;
     p.wl = workloads::byName(
         threads ? name + "@" + std::to_string(threads) : name, s);
     p.compileReport = core::compileHints(p.wl.module);
-    if (lintOnPrepare) {
-        const compiler::LintReport lr = compiler::lintRaces(p.wl.module);
-        if (!lr.clean()) {
-            HINTM_FATAL("--lint: ", p.wl.name, ": ", lr.summary(), "\n",
-                        lr.render());
-        }
-    }
+    if (lint)
+        lintGate(p.wl);
     return p;
 }
 
-namespace
-{
-
-/** The --perfetto / --stats-json sink. Results are stored by value;
- * the journal rides along as a shared_ptr. */
-struct ObservabilityExport
-{
-    std::mutex mu;
-    std::string perfettoPath;
-    std::string statsPath;
-    struct Run
-    {
-        std::string workload;
-        std::string config;
-        unsigned threads;
-        sim::RunResult result;
-    };
-    std::vector<Run> runs;
-};
-
-ObservabilityExport &
-observabilityExport()
-{
-    static ObservabilityExport x;
-    return x;
-}
-
 void
-recordObservability(const std::string &workload,
-                    const core::SystemOptions &opts, unsigned threads,
-                    const sim::RunResult &r)
+lintGate(const workloads::Workload &wl)
 {
-    ObservabilityExport &x = observabilityExport();
-    std::lock_guard<std::mutex> lock(x.mu);
-    if (x.perfettoPath.empty() && x.statsPath.empty())
-        return;
-    x.runs.push_back({workload, opts.label(), threads, r});
-}
-
-void
-flushObservabilityExport()
-{
-    ObservabilityExport &x = observabilityExport();
-    std::lock_guard<std::mutex> lock(x.mu);
-    std::vector<sim::JournalRun> runs;
-    runs.reserve(x.runs.size());
-    for (const ObservabilityExport::Run &o : x.runs)
-        runs.push_back({o.workload, o.config, o.threads, &o.result});
-    if (!x.perfettoPath.empty())
-        sim::writePerfettoTrace(x.perfettoPath, runs);
-    if (!x.statsPath.empty())
-        sim::writeStatsJson(x.statsPath, runs);
-}
-
-} // namespace
-
-sim::RunResult
-run(const PreparedWorkload &p, core::SystemOptions opts)
-{
-    sim::RunResult r = core::simulate(opts, p.wl.module, p.wl.threads);
-    recordObservability(p.wl.name, opts, p.wl.threads, r);
-    return r;
-}
-
-void
-setObservabilityExport(const std::string &perfetto_path,
-                       const std::string &stats_path)
-{
-    ObservabilityExport &x = observabilityExport();
-    bool first;
-    {
-        std::lock_guard<std::mutex> lock(x.mu);
-        first = x.perfettoPath.empty() && x.statsPath.empty();
-        x.perfettoPath = perfetto_path;
-        x.statsPath = stats_path;
-    }
-    if (first && (!perfetto_path.empty() || !stats_path.empty()))
-        std::atexit(flushObservabilityExport);
+    const compiler::LintReport lr = compiler::lintRaces(wl.module);
+    if (!lr.clean())
+        HINTM_FATAL("--lint: ", wl.name, ": ", lr.summary(), "\n",
+                    lr.render());
 }
 
 namespace
@@ -255,12 +166,49 @@ runMatrix(const std::vector<MatrixJob> &jobs, unsigned host_jobs)
                                                 jobs[i].wl->wl.module,
                                                 jobs[i].wl->wl.threads);
                 });
-    // Exports list runs in submission order, whatever the job count.
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        recordObservability(jobs[i].wl->wl.name, jobs[i].opts,
-                            jobs[i].wl->wl.threads, results[i]);
+    return results;
+}
+
+std::vector<sim::RunResult>
+runMatrix(const std::vector<MatrixJob> &jobs, const BenchArgs &args)
+{
+    std::vector<sim::RunResult> results = runMatrix(jobs, args.jobs);
+    if (!args.perfettoPath.empty() || !args.statsJsonPath.empty()) {
+        // Exports list runs in submission order, whatever the job count.
+        std::vector<sim::JournalRun> runs;
+        runs.reserve(jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            runs.push_back({jobs[i].wl->wl.name, jobs[i].opts.label(),
+                            jobs[i].wl->wl.threads, &results[i]});
+        }
+        writeExports(args.perfettoPath, args.statsJsonPath, runs);
     }
     return results;
+}
+
+void
+writeExports(const std::string &perfetto_path,
+             const std::string &stats_path,
+             const std::vector<sim::JournalRun> &runs)
+{
+    std::ofstream trace, stats;
+    if (!perfetto_path.empty())
+        trace = openOutput(perfetto_path);
+    try {
+        if (!stats_path.empty())
+            stats = openOutput(stats_path);
+    } catch (const FatalError &) {
+        // Leave no empty trace file behind: the run wrote no report.
+        if (trace.is_open()) {
+            trace.close();
+            std::remove(perfetto_path.c_str());
+        }
+        throw;
+    }
+    if (trace.is_open())
+        sim::writePerfettoTrace(trace, runs);
+    if (stats.is_open())
+        sim::writeStatsJson(stats, runs);
 }
 
 std::string

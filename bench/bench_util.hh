@@ -2,7 +2,7 @@
  * @file
  * Shared plumbing for the figure-reproduction harnesses: workload
  * preparation, the shared flags, the parallel experiment runner
- * (runMatrix), the --perfetto/--stats-json exports, and result
+ * (runMatrix) with its --perfetto/--stats-json exports, and result
  * formatting helpers.
  */
 
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/hintm.hh"
+#include "sim/journal_io.hh"
 #include "workloads/workloads.hh"
 
 namespace hintm
@@ -33,7 +34,8 @@ struct BenchArgs
     /** Concurrent simulations (0 = hardware concurrency). */
     unsigned jobs = 0;
     /** --lint: run the static race-lint pass over every workload as it
-     * is prepared and abort on any diagnostic (soundness gate). */
+     * is prepared and abort on any diagnostic (soundness gate). Passed
+     * to prepare(). */
     bool lint = false;
     /** --journal: record every TX attempt (observation only, results
      * bit-identical). Applied to configs through options(). */
@@ -43,10 +45,10 @@ struct BenchArgs
      * through options(). */
     bool metrics = false;
     /** --perfetto [FILE]: write a Chrome-trace timeline of every
-     * journal-carrying run at exit (implies --journal). */
+     * journal-carrying run of the matrix (implies --journal). */
     std::string perfettoPath;
     /** --stats-json [FILE]: write machine-readable per-run stats
-     * records at exit (journal sections when --journal is on). */
+     * records of the matrix (journal sections when --journal is on). */
     std::string statsJsonPath;
 
     static BenchArgs parse(int argc, char **argv);
@@ -55,12 +57,6 @@ struct BenchArgs
      * --metrics) applied: the starting point of every harness config. */
     core::SystemOptions options() const;
 };
-
-/** Process-wide switch behind BenchArgs::lint: when on, prepare()
- * re-derives the race obligations after hint compilation and fatals on
- * any diagnostic. Exposed so drivers with their own argument parsing
- * (hintm_run) can enable the same gate. */
-void setLintOnPrepare(bool on);
 
 /** A workload with hints compiled once, reusable across configs. */
 struct PreparedWorkload
@@ -73,12 +69,15 @@ struct PreparedWorkload
 
 /** Build and hint-compile a workload. A module is partitioned for the
  * thread count it is built for, so @p threads > 0 builds "name@N"
- * (0 = the workload's own count). */
+ * (0 = the workload's own count). With @p lint, the module then passes
+ * lintGate. */
 PreparedWorkload prepare(const std::string &name, workloads::Scale s,
-                         unsigned threads = 0);
+                         unsigned threads = 0, bool lint = false);
 
-/** Run a prepared workload under the given options. */
-sim::RunResult run(const PreparedWorkload &p, core::SystemOptions opts);
+/** The --lint soundness gate: re-derive the race obligations of @p wl's
+ * hint-compiled module and fatal, naming the workload, on any
+ * diagnostic. */
+void lintGate(const workloads::Workload &wl);
 
 /**
  * One simulation of the experiment matrix. The referenced workload must
@@ -99,6 +98,20 @@ struct MatrixJob
  */
 std::vector<sim::RunResult> runMatrix(const std::vector<MatrixJob> &jobs,
                                       unsigned host_jobs = 0);
+
+/** A harness's matrix: runMatrix on args.jobs host threads, then the
+ * --perfetto / --stats-json files over its runs in submission order
+ * (writeExports). */
+std::vector<sim::RunResult> runMatrix(const std::vector<MatrixJob> &jobs,
+                                      const BenchArgs &args);
+
+/** Write a Perfetto timeline to @p perfetto_path and a stats-JSON array
+ * to @p stats_path (an empty path writes nothing), one entry per run of
+ * @p runs. Both files are opened before either is written: fatal,
+ * naming the file, when one cannot be opened, leaving neither. */
+void writeExports(const std::string &perfetto_path,
+                  const std::string &stats_path,
+                  const std::vector<sim::JournalRun> &runs);
 
 /**
  * Host worker threads runMatrix will actually use for @p requested
@@ -133,18 +146,6 @@ inline void
 clearMatrixCache()
 {
 }
-
-/**
- * Arrange for observability exports at process exit: a combined
- * Perfetto/Chrome-trace timeline (@p perfetto_path, one trace process
- * per run) and/or a stats-JSON array (@p stats_path, one record per
- * run, journal sections included when runs carried journals). Either
- * path may be empty. Runs executed through runMatrix/run after this
- * call are collected; called automatically by BenchArgs::parse for
- * --perfetto / --stats-json.
- */
-void setObservabilityExport(const std::string &perfetto_path,
-                            const std::string &stats_path);
 
 /** "2.98x"-style speedup formatting. */
 std::string speedupStr(double s);

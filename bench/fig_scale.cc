@@ -73,7 +73,8 @@ run(int argc, char **argv)
     std::vector<bench::MatrixJob> jobs;
     for (const std::string &name : names) {
         for (unsigned cores : coreCounts) {
-            prepared.push_back(bench::prepare(name, args.scale, cores));
+            prepared.push_back(
+                bench::prepare(name, args.scale, cores, args.lint));
         }
     }
     std::size_t p_idx = 0;
@@ -97,8 +98,7 @@ run(int argc, char **argv)
             }
         }
     }
-    const std::vector<sim::RunResult> res =
-        bench::runMatrix(jobs, args.jobs);
+    const std::vector<sim::RunResult> res = bench::runMatrix(jobs, args);
 
     for (const htm::HtmKind kind :
          {htm::HtmKind::P8, htm::HtmKind::L1TM}) {

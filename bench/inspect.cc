@@ -30,7 +30,7 @@ run(int argc, char **argv)
     std::vector<bench::PreparedWorkload> prepared;
     prepared.reserve(names.size());
     for (const std::string &name : names)
-        prepared.push_back(bench::prepare(name, args.scale));
+        prepared.push_back(bench::prepare(name, args.scale, 0, args.lint));
 
     std::vector<bench::MatrixJob> jobs;
     for (const bench::PreparedWorkload &p : prepared) {
@@ -48,8 +48,7 @@ run(int argc, char **argv)
             }
         }
     }
-    const std::vector<sim::RunResult> res = bench::runMatrix(jobs,
-                                                             args.jobs);
+    const std::vector<sim::RunResult> res = bench::runMatrix(jobs, args);
 
     for (std::size_t w = 0; w < names.size(); ++w) {
         const bench::PreparedWorkload &p = prepared[w];

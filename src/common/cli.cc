@@ -2,9 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
-#include <iostream>
 
 #include "common/logging.hh"
 
@@ -52,12 +50,7 @@ runMain(int argc, char **argv, int (*body)(int, char **))
     try {
         return body(argc, argv);
     } catch (const FatalError &) {
-        // The "fatal:" line is already out. Skip the exit-time writers
-        // (the --perfetto / --stats-json reports), so a failed
-        // run leaves no partial report over an earlier good one.
-        std::cout.flush();
-        std::fflush(nullptr);
-        std::_Exit(2);
+        return 2; // the "fatal:" line is already out
     }
 }
 

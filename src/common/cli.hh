@@ -49,11 +49,9 @@ std::ofstream openOutput(const std::string &path);
 /**
  * Run a binary's main body and return its exit code. A fatal error
  * (HINTM_FATAL: a bad flag, bad input or a failed run) has already
- * printed its one "fatal:" line, so it ends the process with exit code
- * 2 instead of escaping main into std::terminate. It ends it through
- * std::_Exit after flushing stdout and stderr: the atexit report
- * writers do not run, so no --perfetto or --stats-json file is
- * written.
+ * printed its one "fatal:" line, so it returns exit code 2 instead of
+ * escaping main into std::terminate. Reports are written by the body
+ * once its runs are done, so a run that fails first writes none.
  */
 int runMain(int argc, char **argv, int (*body)(int, char **));
 

@@ -95,8 +95,9 @@ describeConfig(const sim::MachineConfig &cfg)
        << "-cycle latency\n";
     os << "Memory    : " << cfg.mem.memLatency << "-cycle latency\n";
     os << "Coherence : "
-       << (cfg.mem.directory ? "directory MESI (owning sharer/owner state)"
-                             : "snoopy MESI (broadcast)");
+       << (cfg.mem.directory
+               ? "directory MESI (per-block sharer and TX-tracker masks)"
+               : "snoopy MESI (broadcast)");
     if (cfg.mem.numaNodes > 1) {
         os << ", " << cfg.mem.numaNodes << " NUMA nodes (+"
            << cfg.mem.numaRemoteLatency << "-cycle remote home)";

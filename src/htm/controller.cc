@@ -129,12 +129,15 @@ HtmController::trackAccess(Addr addr, AccessType type, bool safe)
 
     const std::size_t entries = buffer_.size();
     if (const std::uint8_t tr = buffer_.track(block, type)) {
-        if (dir_)
-            dir_->txTrack(block, unsigned(self_));
-        // A newly tracked block may not be resident yet (handleMem
-        // tracks before its access): then the fill seeds its bit.
-        if (l1_ && buffer_.size() != entries)
-            l1_->setLineTracked(self_, block, true);
+        if (buffer_.size() != entries) {
+            // A block already in the buffer is registered already.
+            if (dir_)
+                dir_->txTrack(block, unsigned(self_));
+            // A newly tracked block may not be resident yet (handleMem
+            // tracks before its access): then the fill seeds its bit.
+            if (l1_)
+                l1_->setLineTracked(self_, block, true);
+        }
         return tr & (NewlyRead | NewlyWritten);
     }
 
@@ -145,7 +148,8 @@ HtmController::trackAccess(Addr addr, AccessType type, bool safe)
             signature_.insert(block);
             const bool is_new = overflowReads_.insert(block);
             if (dir_) {
-                dir_->txTrack(block, unsigned(self_));
+                if (is_new)
+                    dir_->txTrack(block, unsigned(self_));
                 dir_->setSigActive(unsigned(self_), true);
             }
             ++stats_->signatureSpills;

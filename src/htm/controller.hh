@@ -256,10 +256,6 @@ class HtmController : public mem::SnoopListener
     const HtmConfig &config() const { return cfg_; }
 
   private:
-    void triggerAbort(AbortReason r)
-    {
-        triggerAbort(r, 0, false, -1);
-    }
     void triggerAbort(AbortReason r, Addr offending_addr,
                       bool addr_valid, std::int32_t offender);
     void clearTxState();

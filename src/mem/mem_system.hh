@@ -193,8 +193,8 @@ class MemorySystem
     bool directoryActive() const { return cfg_.directory; }
 
     /** The directory, or null in broadcast mode. Controllers use it to
-     * register transactional trackers; the machine uses it for
-     * O(trackers) conflict pre-flight. */
+     * register transactional trackers; the controlled loop reads its
+     * sharer masks to prune independent decisions. */
     Directory *directory() { return cfg_.directory ? &dir_ : nullptr; }
 
     /** Directory sharer mask of a block (testing aid; 0 when the

@@ -32,9 +32,9 @@
  *
  * Waiters stay parked across a release; the machine wakes a group once
  * it falls due on a free lock. A waiter's exact readyAt is dueAt(); the
- * machine's own copy is stale until the waiter wakes or the loop hands
- * the machine back. The structure is transient: it is empty whenever
- * the machine is not inside its indexed run loop.
+ * machine's own copy is stale until the waiter wakes. Waiters also stay
+ * parked when the run loop returns at a commit target: only the indexed
+ * loop runs a machine that parks, and its next call resumes them.
  */
 
 #ifndef HINTM_SIM_LOCK_WAITERS_HH
@@ -226,18 +226,6 @@ class LockWaiters
         remove(unsigned(t % period), g);
         for (std::uint64_t m = g; m; m &= m - 1)
             f(unsigned(std::countr_zero(m)));
-    }
-
-    /** Unpark everyone: @p f(context, readyAt) for each waiter. */
-    template <typename F>
-    void
-    drain(F &&f)
-    {
-        for (std::uint64_t m = members_; m; m &= m - 1) {
-            const unsigned c = unsigned(std::countr_zero(m));
-            f(c, dueAt(c));
-        }
-        reset(n_);
     }
 
   private:

@@ -1,7 +1,6 @@
 #include "machine.hh"
 
 #include <algorithm>
-#include <bit>
 #include <sstream>
 #include <limits>
 #include <memory>
@@ -255,14 +254,6 @@ class Machine
                 parkWaiter(w);
             else
                 sched_.setReady(w, cs.readyAt);
-        }
-        // Hand back the state spinning would have left: a later call
-        // may take the scan or the controlled loop, which know nothing
-        // of parking, and finishRun() reads every readyAt.
-        if (!waiters_.empty()) {
-            waiters_.drain(
-                [this](unsigned c, Cycle t) { ctxs_[c].readyAt = t; });
-            rebuildSchedIndex();
         }
     }
 
@@ -670,29 +661,12 @@ class Machine
             // Requester-loses pre-flight: abort ourselves rather than
             // disturb a TX already holding the block.
             const Addr block = blockAlign(st.addr);
-            if (mem::Directory *dir = mem_->directory()) {
-                // conflictsWith() can only be true for contexts the
-                // directory records as precise trackers of the block,
-                // so probing the tracker mask is O(trackers).
-                std::uint64_t m =
-                    dir->txTrackers(block) & ~(std::uint64_t(1) << c);
-                for (; m; m &= m - 1) {
-                    const unsigned o = unsigned(std::countr_zero(m));
-                    if (ctxs_[o].htm->conflictsWith(block,
-                                                    st.accessType)) {
-                        cs.htm->requestAbort(htm::AbortReason::Conflict);
-                        cs.readyAt = now + cost;
-                        return;
-                    }
-                }
-            } else {
-                for (unsigned o = 0; o < ctxs_.size(); ++o) {
-                    if (o != c && ctxs_[o].htm->conflictsWith(
-                                      block, st.accessType)) {
-                        cs.htm->requestAbort(htm::AbortReason::Conflict);
-                        cs.readyAt = now + cost;
-                        return;
-                    }
+            for (unsigned o = 0; o < ctxs_.size(); ++o) {
+                if (o != c &&
+                    ctxs_[o].htm->conflictsWith(block, st.accessType)) {
+                    cs.htm->requestAbort(htm::AbortReason::Conflict);
+                    cs.readyAt = now + cost;
+                    return;
                 }
             }
         }
@@ -814,7 +788,7 @@ class Machine
     }
 
     /** Park @p c, whose step just re-checked the held fallback lock,
-     * until its group falls due on a free lock or the run loop returns. */
+     * until its group falls due on a free lock. */
     void
     parkWaiter(unsigned c)
     {
@@ -956,8 +930,7 @@ class Machine
     }
 
     /** (Re)derive the scheduler index from context state: at
-     * construction, at the end of a run loop that parked waiters, and
-     * after a preemption change. */
+     * construction and after a preemption change. */
     void
     rebuildSchedIndex()
     {
@@ -1022,8 +995,9 @@ class Machine
      * controller). */
     SchedIndex sched_;
     bool useSchedIndex_ = false;
-    /** Fallback-lock waiters parked by the indexed run loop; empty
-     * outside it. */
+    /** Fallback-lock waiters parked by the indexed run loop. They stay
+     * parked when the loop returns at a commit target: only the
+     * indexed loop runs this machine, and its next call resumes them. */
     LockWaiters waiters_;
     /** Set whenever a step mutates another context's scheduler state
      * (shootdown readyAt bump, barrier release, a lock release with

@@ -47,8 +47,7 @@
  *    index while the winner's readyAt stays strictly below it.
  *
  * The index is derived state: the machine rebuilds it from context
- * state on construction, when a run loop hands back parked lock
- * waiters, and after a preemption change.
+ * state on construction and after a preemption change.
  */
 
 #ifndef HINTM_SIM_SCHED_INDEX_HH

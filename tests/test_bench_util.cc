@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the benchmark-harness plumbing: argument parsing, reduction
- * and geomean math, the prepare/run round trip, the host job count,
+ * and geomean math, the prepare/simulate round trip, the host job count,
  * the RunResult encoding, and that a harness run leaves no files in the
  * user's cache directory.
  */
@@ -139,7 +139,7 @@ TEST(BenchPrepare, CompilesAndRuns)
     EXPECT_GT(p.compileReport.totalLoads, 0u);
 
     core::SystemOptions opts;
-    const sim::RunResult r = bench::run(p, opts);
+    const sim::RunResult r = core::simulate(opts, p.wl.module, p.wl.threads);
     EXPECT_GT(r.committedTxs, 0u);
 }
 
@@ -197,7 +197,7 @@ TEST(EncodeRunResult, CoversEveryCollectedSection)
     opts.collectTxSizes = true;
     opts.collectRawStats = true;
     opts.profileSharing = true;
-    const sim::RunResult r = bench::run(p, opts);
+    const sim::RunResult r = core::simulate(opts, p.wl.module, p.wl.threads);
     const std::string bytes = bench::encodeRunResult(r);
     EXPECT_EQ(bench::encodeRunResult(r), bytes);
     ASSERT_FALSE(r.rawStats.empty());

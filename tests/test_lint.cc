@@ -12,13 +12,17 @@
  * the oracle (no remote writer exists), and an out-of-bounds write that
  * lands in a statically-read-only global is invisible to the lint pass
  * (the points-to object model has no aliasing path); each is caught by
- * exactly the other side.
+ * exactly the other side. The --lint gate that harnesses and hintm_run
+ * apply at workload preparation is checked here too: it passes clean
+ * workloads and stops a module with a corrupted hint.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "../bench/bench_util.hh"
+#include "common/logging.hh"
 #include "compiler/race_lint.hh"
 #include "compiler/safety.hh"
 #include "core/hintm.hh"
@@ -516,6 +520,29 @@ TEST(RaceLint, DivergentFlaggedVariantHintRaisesObligation3)
     const Site s{clone, 0, 0};
     EXPECT_TRUE(hasDiagAt(rep, s, 1)) << rep.render();
     EXPECT_TRUE(hasDiagAt(rep, s, 3)) << rep.render();
+}
+
+// ---- the --lint gate -------------------------------------------------
+
+TEST(LintGate, PassesCleanWorkloadsThroughPrepare)
+{
+    for (const char *name : {"kmeans", "labyrinth"}) {
+        EXPECT_NO_THROW(
+            bench::prepare(name, workloads::Scale::Tiny, 0, /*lint=*/true))
+            << name;
+    }
+}
+
+TEST(LintGate, FatalsOnACorruptedSafeHint)
+{
+    workloads::Workload wl;
+    wl.name = "shared-reader";
+    wl.module = sharedReaderModule();
+    core::compileHints(wl.module);
+    EXPECT_NO_THROW(bench::lintGate(wl));
+
+    flipNth(wl.module, "worker", Opcode::Load, 0);
+    EXPECT_THROW(bench::lintGate(wl), FatalError);
 }
 
 // ---- oracle invariants ----------------------------------------------

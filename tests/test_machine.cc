@@ -476,11 +476,11 @@ expectSameResult(const sim::RunResult &a, const sim::RunResult &b,
 
 TEST(SimRun, EightCommitChunksMatchColdIndexedAndScanRuns)
 {
-    // Every exit of the indexed loop hands back each parked waiter's
-    // exact readyAt. A run in 8-commit chunks, which leaves and
-    // re-enters the loop mid-convoy, must finish bit-identical to a
-    // cold indexed run and to a cold run of the reference scan, which
-    // steps every re-check.
+    // Parked waiters stay parked when the indexed loop returns at a
+    // commit target, and its next call resumes them. A run in 8-commit
+    // chunks, which leaves and re-enters the loop mid-convoy, must
+    // finish bit-identical to a cold indexed run and to a cold run of
+    // the reference scan, which steps every re-check.
     workloads::Workload wl =
         workloads::byName("vacation@64", workloads::Scale::Tiny);
     core::compileHints(wl.module);
@@ -507,8 +507,9 @@ TEST(SimRun, ChunkExitsHandBackParkedLockWaiters)
     // falls due, so chunks end with waiters parked on a free lock (the
     // 8-commit chunks above do). The seeded lazy-subscription bug also
     // lets hardware TXs commit under a held lock, so one-commit chunks
-    // end mid-convoy too; every exit must restore each waiter's exact
-    // readyAt or the chunked run drifts from the cold one.
+    // end mid-convoy too; every waiter parked across an exit must fall
+    // due at its exact cycle or the chunked run drifts from the cold
+    // one.
     workloads::Workload wl =
         workloads::byName("vacation@64", workloads::Scale::Tiny);
     core::compileHints(wl.module);

@@ -104,7 +104,8 @@ TEST(RunMatrix, ResultsArriveInSubmissionOrder)
     const auto res = bench::runMatrix(jobs, 4);
     // Re-run each job individually and check slot alignment.
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const sim::RunResult direct = bench::run(p, jobs[i].opts);
+        const sim::RunResult direct =
+            core::simulate(jobs[i].opts, p.wl.module, p.wl.threads);
         EXPECT_EQ(res[i].cycles, direct.cycles) << "job " << i;
         EXPECT_EQ(res[i].htm.commits, direct.htm.commits) << "job " << i;
     }

@@ -100,7 +100,8 @@ lintWorkload(const std::string &name, workloads::Scale scale,
         core::SystemOptions opts;
         opts.mechanism = core::Mechanism::Full;
         opts.hintOracle = true;
-        const sim::RunResult r = bench::run(p, opts);
+        const sim::RunResult r =
+            core::simulate(opts, p.wl.module, p.wl.threads);
         out.oracleWitnesses = unsigned(r.oracleWitnesses.size());
         std::printf("%-10s oracle : %zu witness(es), %llu safe accesses "
                     "checked, %llu conflict-tracking skips\n",
@@ -141,7 +142,8 @@ mutateWorkload(const std::string &name, workloads::Scale scale,
     core::SystemOptions opts;
     opts.mechanism = core::Mechanism::Full;
     opts.hintOracle = true;
-    const sim::RunResult r = bench::run(p, opts);
+    const sim::RunResult r =
+        core::simulate(opts, p.wl.module, p.wl.threads);
     const bool hit_oracle = !r.oracleWitnesses.empty();
 
     const char *verdict = hit_static && hit_oracle ? "both"

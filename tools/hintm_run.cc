@@ -14,7 +14,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 
 #include "bench_util.hh"
@@ -94,7 +93,7 @@ run(int argc, char **argv)
     core::SystemOptions opts;
     opts.mechanism = core::Mechanism::Full;
     unsigned threads = 0; // 0 = the workload's own thread count
-    bool profile = false, cdf = false, stats = false;
+    bool profile = false, cdf = false, stats = false, lint = false;
     std::string perfettoPath, statsJsonPath;
 
     for (int i = 1; i < argc; ++i) {
@@ -175,7 +174,7 @@ run(int argc, char **argv)
         } else if (a == "--stats") {
             stats = true;
         } else if (a == "--lint") {
-            bench::setLintOnPrepare(true);
+            lint = true;
         } else if (a == "--oracle") {
             opts.hintOracle = true;
         } else if (a == "--journal") {
@@ -217,7 +216,8 @@ run(int argc, char **argv)
     opts.collectTxSizes = cdf;
     opts.collectRawStats = stats;
 
-    const bench::PreparedWorkload p = bench::prepare(workload, scale, threads);
+    const bench::PreparedWorkload p =
+        bench::prepare(workload, scale, threads, lint);
     const workloads::Workload &wl = p.wl;
 
     std::printf("workload   : %s (%u threads)\n", wl.name.c_str(),
@@ -227,7 +227,7 @@ run(int argc, char **argv)
                 opts.bufferEntries);
     std::printf("compiler   : %s\n\n", p.compileReport.summary().c_str());
 
-    const sim::RunResult r = bench::run(p, opts);
+    const sim::RunResult r = core::simulate(opts, wl.module, wl.threads);
 
     std::printf("cycles            : %llu\n",
                 (unsigned long long)r.cycles);
@@ -308,21 +308,12 @@ run(int argc, char **argv)
     }
     if (r.metrics)
         std::printf("%s", sim::metricsSummary(r).c_str());
-    if (!perfettoPath.empty() || !statsJsonPath.empty()) {
-        const std::vector<sim::JournalRun> runs = {
-            {wl.name, opts.label(), wl.threads, &r}};
-        if (!perfettoPath.empty()) {
-            std::ofstream os = openOutput(perfettoPath);
-            sim::writePerfettoTrace(os, runs);
-            std::printf("perfetto trace    : %s\n", perfettoPath.c_str());
-        }
-        if (!statsJsonPath.empty()) {
-            std::ofstream os = openOutput(statsJsonPath);
-            sim::writeStatsJson(os, runs);
-            std::printf("stats json        : %s\n",
-                        statsJsonPath.c_str());
-        }
-    }
+    bench::writeExports(perfettoPath, statsJsonPath,
+                        {{wl.name, opts.label(), wl.threads, &r}});
+    if (!perfettoPath.empty())
+        std::printf("perfetto trace    : %s\n", perfettoPath.c_str());
+    if (!statsJsonPath.empty())
+        std::printf("stats json        : %s\n", statsJsonPath.c_str());
     if (stats) {
         std::printf("\n-- raw statistics --\n%s", r.rawStats.c_str());
     }
