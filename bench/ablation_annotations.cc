@@ -18,6 +18,7 @@
 
 #include "bench_util.hh"
 #include "common/cli.hh"
+#include "common/logging.hh"
 #include "common/table.hh"
 #include "tir/builder.hh"
 
@@ -59,6 +60,9 @@ static int
 run(int argc, char **argv)
 {
     const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
+    if (!args.only.empty())
+        HINTM_FATAL("ablation_annotations runs only its annotated "
+                    "labyrinth: --workload does not apply");
     bench::PreparedWorkload p;
     p.wl = annotatedLabyrinth(args.scale);
     p.compileReport = core::compileHints(p.wl.module);

@@ -41,8 +41,11 @@ run(int argc, char **argv)
         base.htmKind = htm::HtmKind::P8;
         jobs.push_back({&p, base});
 
+        // Both HinTM columns name their page policy, so --preserve
+        // changes neither.
         SystemOptions sticky = base;
         sticky.mechanism = Mechanism::Full;
+        sticky.preserveReadOnly = false;
         jobs.push_back({&p, sticky});
 
         SystemOptions pres = sticky;

@@ -82,6 +82,7 @@ core::SystemOptions
 BenchArgs::options() const
 {
     core::SystemOptions o;
+    o.preserveReadOnly = preserve;
     o.journal = journal;
     o.metrics = metrics;
     return o;

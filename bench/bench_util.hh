@@ -30,6 +30,8 @@ struct BenchArgs
     bool scaleExplicit = false;
     /** Empty = the full suite. */
     std::vector<std::string> only;
+    /** --preserve: the §VI-B preserve-read-only page policy. Applied to
+     * configs through options(). */
     bool preserve = false;
     /** Concurrent simulations (0 = hardware concurrency). */
     unsigned jobs = 0;
@@ -53,8 +55,9 @@ struct BenchArgs
 
     static BenchArgs parse(int argc, char **argv);
     std::vector<std::string> names() const;
-    /** Paper-default options with the observation flags (--journal,
-     * --metrics) applied: the starting point of every harness config. */
+    /** Paper-default options with --preserve and the observation flags
+     * (--journal, --metrics) applied: the starting point of every
+     * harness config. */
     core::SystemOptions options() const;
 };
 

@@ -46,7 +46,6 @@ run(int argc, char **argv)
             SystemOptions o = args.options();
             o.htmKind = htm::HtmKind::P8S;
             o.mechanism = m;
-            o.preserveReadOnly = args.preserve;
             return o;
         };
         jobs.push_back({&p, opt(Mechanism::Baseline)});

@@ -44,7 +44,6 @@ run(int argc, char **argv)
             SystemOptions o = args.options();
             o.htmKind = htm::HtmKind::L1TM;
             o.mechanism = m;
-            o.preserveReadOnly = args.preserve;
             // 2-way SMT: paper thread count on half as many cores.
             o.numCores = (p.wl.threads + 1) / 2;
             o.smtPerCore = 2;

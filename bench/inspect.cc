@@ -42,7 +42,6 @@ run(int argc, char **argv)
                 SystemOptions o = args.options();
                 o.htmKind = kind;
                 o.mechanism = mech;
-                o.preserveReadOnly = args.preserve;
                 o.collectTxSizes = true;
                 jobs.push_back({&p, o});
             }

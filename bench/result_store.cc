@@ -74,7 +74,7 @@ putSharing(std::string &out, const sim::SharingSummary &s)
     putU64(out, s.safeRegions);
     putU64(out, s.txReads);
     putU64(out, s.txReadsToSafe);
-    putU64(out, s.unknownRegions);
+    putU64(out, 0); // a retired field, kept for the digests' byte layout
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 
 #include "bench_util.hh"
 #include "common/cli.hh"
+#include "common/logging.hh"
 #include "core/hintm.hh"
 
 using namespace hintm;
@@ -16,10 +17,14 @@ using namespace hintm;
 static int
 run(int argc, char **argv)
 {
-    // No simulations here; parse so the shared flags (--jobs, --tiny)
-    // that scripts such as reproduce_all.sh pass every harness are
-    // accepted.
-    (void)bench::BenchArgs::parse(argc, argv);
+    // No simulations here. The shared flags that loops such as
+    // reproduce_all.sh pass every harness (--jobs and the scale flags)
+    // are accepted; a flag that asks for runs or their reports is not.
+    const bench::BenchArgs a = bench::BenchArgs::parse(argc, argv);
+    if (!a.only.empty() || a.preserve || a.lint || a.journal ||
+        a.metrics || !a.perfettoPath.empty() || !a.statsJsonPath.empty())
+        HINTM_FATAL("table2_config simulates nothing: it takes only "
+                    "--jobs and the scale flags");
     std::cout << "== Table II: simulation parameters ==\n\n";
     for (htm::HtmKind kind :
          {htm::HtmKind::P8, htm::HtmKind::P8S, htm::HtmKind::L1TM,

@@ -176,7 +176,7 @@ class Machine
      * path picks through the event-driven index and keeps stepping the
      * picked context while it provably remains the unique earliest
      * (its readyAt strictly below every other eligible context's lower
-     * bound and no cross-context mutation observed), touching the heap
+     * bound and no cross-context mutation observed), touching the index
      * once per batch instead of once per step. It also parks
      * fallback-lock waiters after their first re-check and settles the
      * later ones lazily (sim/lock_waiters.hh): while the lock is held a
@@ -244,8 +244,8 @@ class Machine
                     waiters_.stepAt(now_, rr_, w);
                 step(w, now_);
             }
-            // Close the batch: republish w's scheduler state (its heap
-            // entries at the picked key were consumed by pick()).
+            // Close the batch: republish w's scheduler state (pick()
+            // took it out of the tie bucket).
             if (cs.done)
                 sched_.retire(w);
             else if (cs.atBarrier)
@@ -841,9 +841,9 @@ class Machine
     releasePreempted()
     {
         const bool any = releasePreemptedFlags();
-        // Preemption changes are rare (bounded per run) and can move a
-        // readyAt behind an open tie bucket, so re-derive the index
-        // rather than teaching its monotone fast paths about the past.
+        // Preemption changes are rare (bounded per run), so re-derive
+        // the index from context state rather than unblocking each
+        // released context.
         if (any)
             rebuildSchedIndex();
         return any;

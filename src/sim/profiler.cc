@@ -12,22 +12,8 @@ SharingProfiler::record(ThreadId tid, Addr addr, AccessType type,
                         bool in_tx)
 {
     HINTM_ASSERT(tid >= 0, "profiler needs a real thread id");
-    // Saturate instead of shifting past the mask width: every tid
-    // beyond the tracked range sets no bit and poisons the region's
-    // classification to "unknown" instead.
-    const bool overflow = tid > maxTrackedTid;
-    if (overflow) {
-        static bool warned = false;
-        if (!warned) {
-            warned = true;
-            warn("SharingProfiler: thread ", tid, " exceeds the ",
-                 maxTrackedTid + 1,
-                 "-thread bitmask range; affected regions are counted "
-                 "as unknown (unsafe)");
-        }
-    }
-    const std::uint64_t bit =
-        overflow ? 0 : std::uint64_t(1) << unsigned(tid);
+    HINTM_ASSERT(tid < 64, "profiler tracks at most 64 threads");
+    const std::uint64_t bit = std::uint64_t(1) << unsigned(tid);
     const bool is_read = type == AccessType::Read;
 
     auto touch = [&](std::unordered_map<Addr, Region> &map, Addr key) {
@@ -36,8 +22,6 @@ SharingProfiler::record(ThreadId tid, Addr addr, AccessType type,
             r.readers |= bit;
         else
             r.writers |= bit;
-        if (overflow)
-            r.unknown = true;
         if (in_tx && is_read)
             ++r.txReads;
     };
@@ -55,8 +39,6 @@ SharingProfiler::fold(const std::unordered_map<Addr, Region> &map,
     s.totalRegions = map.size();
     s.txReads = reads;
     for (const auto &kv : map) {
-        if (kv.second.unknown)
-            ++s.unknownRegions;
         if (regionSafe(kv.second)) {
             ++s.safeRegions;
             s.txReadsToSafe += kv.second.txReads;

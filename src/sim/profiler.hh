@@ -26,10 +26,6 @@ struct SharingSummary
     std::uint64_t safeRegions = 0;
     std::uint64_t txReads = 0;
     std::uint64_t txReadsToSafe = 0;
-    /** Regions touched by a thread beyond the 63 tracked bitmask slots:
-     * their sharing pattern is unknown, so they are conservatively
-     * counted unsafe (never inflates the safe fractions). */
-    std::uint64_t unknownRegions = 0;
 
     double
     safeRegionFraction() const
@@ -52,15 +48,9 @@ struct SharingSummary
 class SharingProfiler
 {
   public:
-    /** Thread ids beyond this saturate into the per-region "unknown"
-     * flag: the 64-bit reader/writer bitmasks hold one bit per thread,
-     * covering the full 64-context machine exactly. Overflow tids set
-     * no mask bit — Region::unknown alone forces the region unsafe. */
-    static constexpr ThreadId maxTrackedTid = 63;
-
-    /** Record one access by @p tid; @p in_tx marks transactional reads.
-     * Tids beyond maxTrackedTid mark the region unknown (counted
-     * unsafe) instead of silently aliasing into another thread's bit. */
+    /** Record one access by worker @p tid (0–63: one bit of the 64-bit
+     * reader/writer masks per context of the largest machine); @p in_tx
+     * marks transactional reads. */
     void record(ThreadId tid, Addr addr, AccessType type, bool in_tx);
 
     /** Fold the run into Fig. 1 numbers at block granularity. */
@@ -74,17 +64,11 @@ class SharingProfiler
         std::uint64_t readers = 0; ///< bitmask over thread ids (< 64)
         std::uint64_t writers = 0;
         std::uint64_t txReads = 0;
-        /** Touched by a tid the bitmasks cannot represent. */
-        bool unknown = false;
     };
 
     static bool
     regionSafe(const Region &r)
     {
-        // A region touched by untrackable tids has an unknown sharing
-        // pattern: conservatively unsafe.
-        if (r.unknown)
-            return false;
         const std::uint64_t all = r.readers | r.writers;
         // Single-thread regions and read-only shared regions are safe.
         return r.writers == 0 || (all & (all - 1)) == 0;

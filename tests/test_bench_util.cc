@@ -106,6 +106,14 @@ TEST(BenchArgs, ObservationFlagsApplyOnlyThroughOptions)
     EXPECT_FALSE(fresh.metrics);
 }
 
+TEST(BenchArgs, PreserveAppliesThroughOptions)
+{
+    // Every harness starts its configs from options(), so --preserve
+    // reaches each of them.
+    EXPECT_TRUE(parse({"--preserve"}).options().preserveReadOnly);
+    EXPECT_FALSE(parse({}).options().preserveReadOnly);
+}
+
 TEST(BenchMath, Reduction)
 {
     EXPECT_DOUBLE_EQ(bench::reduction(100, 40), 0.6);

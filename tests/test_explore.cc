@@ -462,7 +462,7 @@ highestBit(std::uint64_t mask, unsigned)
 TEST(SchedIndexWake, WakeOfRetiredContextIsIgnored)
 {
     sim::SchedIndex idx;
-    // 20 contexts forces the heap path (dense mode covers <= 16).
+    // Any size: one index serves every machine of 1 to 64 contexts.
     idx.reset(20);
     for (unsigned c = 0; c < 20; ++c)
         idx.sync(c, false, false, 5);
@@ -498,7 +498,7 @@ TEST(SchedIndexWake, DoubleWakeInOneStepLastKeyWins)
 TEST(SchedIndexWake, DenseModeHonorsChooser)
 {
     sim::SchedIndex idx;
-    idx.reset(4); // dense mode
+    idx.reset(4); // a small machine
     for (unsigned c = 0; c < 4; ++c)
         idx.sync(c, false, false, 1);
     const sim::SchedIndex::Pick p = idx.pick(1, highestBit);

@@ -10,6 +10,12 @@
  * run loop issues them (lock held or free, time moving forward), and
  * compares the cursor after every replay, every split, every waiter's
  * readyAt after every operation, and the woken waiters.
+ *
+ * sim::SchedIndex, the pick set the waiters park outside of, gets the
+ * same treatment: a model scans a plain readyAt array on every query,
+ * and seeded random sync / setReady / block / unblock / retire /
+ * peekKey / pick sequences play on both, each winner republished
+ * before the next pick as both machine loops do.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +28,7 @@
 #include <random>
 
 #include "sim/lock_waiters.hh"
+#include "sim/sched_index.hh"
 
 using namespace hintm;
 
@@ -263,6 +270,200 @@ playSequence(std::uint64_t seed, unsigned n, unsigned ops)
     return ops;
 }
 
+/** The scheduler's pick set as a plain array, scanned in full on every
+ * query like the reference scheduler. */
+struct PickModel
+{
+    std::array<Cycle, 64> ready{};
+    std::uint64_t live = 0;
+    std::uint64_t eligible = 0;
+
+    /** The reference scan's pick among @p n contexts: the first strict
+     * minimum walking from @p rr, wrapping. */
+    unsigned
+    scanFrom(unsigned rr, unsigned n) const
+    {
+        int best = -1;
+        for (unsigned i = 0, c = rr; i < n; ++i, c = (c + 1) % n) {
+            if ((eligible & bit(c)) &&
+                (best < 0 || ready[c] < ready[unsigned(best)]))
+                best = int(c);
+        }
+        return unsigned(best);
+    }
+
+    Cycle
+    minKey() const
+    {
+        Cycle k = std::numeric_limits<Cycle>::max();
+        for (std::uint64_t m = eligible; m; m &= m - 1)
+            k = std::min(k, ready[unsigned(std::countr_zero(m))]);
+        return k;
+    }
+
+    std::uint64_t
+    tiesAt(Cycle t) const
+    {
+        std::uint64_t tie = 0;
+        for (std::uint64_t m = eligible; m; m &= m - 1) {
+            const unsigned c = unsigned(std::countr_zero(m));
+            if (ready[c] == t)
+                tie |= bit(c);
+        }
+        return tie;
+    }
+};
+
+/** A tie-break that is not the default: the (rr mod ties)-th tied
+ * context. */
+unsigned
+nthTied(std::uint64_t mask, unsigned rr)
+{
+    for (unsigned k = rr % unsigned(std::popcount(mask)); k; --k)
+        mask &= mask - 1;
+    return unsigned(std::countr_zero(mask));
+}
+
+/** One seeded sequence on an @p n-context index, with the default
+ * tie-break or, with @p steer, nthTied. Returns the number of
+ * operations played. */
+unsigned
+playIndexSequence(std::uint64_t seed, unsigned n, bool steer, unsigned ops)
+{
+    std::mt19937_64 rng(seed);
+    const auto below = [&rng](std::uint64_t k) { return rng() % k; };
+    const auto anyOf = [&below](std::uint64_t mask) {
+        for (std::uint64_t k = below(unsigned(std::popcount(mask))); k;
+             --k)
+            mask &= mask - 1;
+        return unsigned(std::countr_zero(mask));
+    };
+
+    sim::SchedIndex idx;
+    PickModel m;
+    Cycle now = 1000000 + below(1000); // keys below it never wrap
+    unsigned rr = unsigned(below(n));
+
+    // Mostly at or just after the last pick's key, so ties are common;
+    // sometimes below it, sometimes far after.
+    const auto nearKey = [&]() -> Cycle {
+        switch (below(8)) {
+          case 0: return now - below(3);
+          case 1: return now + 3 + below(200);
+          default: return now + below(3);
+        }
+    };
+    const auto setReady = [&](unsigned c, Cycle t) {
+        idx.setReady(c, t);
+        m.ready[c] = t;
+    };
+    const auto block = [&](unsigned c, Cycle t) {
+        idx.block(c, t);
+        m.ready[c] = t;
+        m.eligible &= ~bit(c);
+    };
+    const auto unblock = [&](unsigned c, Cycle t) {
+        idx.unblock(c, t);
+        m.ready[c] = t;
+        m.eligible |= bit(c);
+    };
+    const auto retire = [&](unsigned c) {
+        idx.retire(c);
+        m.live &= ~bit(c);
+        m.eligible &= ~bit(c);
+    };
+    const auto sync = [&](unsigned c) {
+        const unsigned s = unsigned(below(8));
+        const bool done = s == 0, at_barrier = s == 1;
+        const Cycle t = nearKey();
+        idx.sync(c, done, at_barrier, t);
+        m.ready[c] = t;
+        m.live = done ? m.live & ~bit(c) : m.live | bit(c);
+        m.eligible = done || at_barrier ? m.eligible & ~bit(c)
+                                        : m.eligible | bit(c);
+    };
+    // A step of the batch on @p w moves another context: a shootdown
+    // stall, or a barrier release.
+    const auto moveOther = [&](unsigned w) {
+        const std::uint64_t others = m.live & ~bit(w);
+        if (others == 0)
+            return;
+        const unsigned v = anyOf(others);
+        if (m.eligible & bit(v) || below(2))
+            setReady(v, std::max(m.ready[v], now) + below(3));
+        else
+            unblock(v, now + 1 + below(2));
+    };
+
+    idx.reset(n);
+    for (unsigned c = 0; c < n; ++c)
+        sync(c);
+    for (unsigned op = 0; op < ops; ++op) {
+        const unsigned r = unsigned(below(100));
+        if (r < 40) {
+            const Cycle key = m.minKey();
+            const sim::SchedIndex::Pick p =
+                steer ? idx.pick(rr, nthTied) : idx.pick(rr);
+            if (m.eligible == 0) {
+                EXPECT_EQ(p.winner, -1);
+                continue;
+            }
+            const std::uint64_t ties = m.tiesAt(key);
+            const unsigned w =
+                steer ? nthTied(ties, rr) : m.scanFrom(rr, n);
+            EXPECT_EQ(p.winner, int(w)) << "pick from rr " << rr;
+            EXPECT_EQ(p.key, key);
+            if (ties & ~bit(w)) {
+                EXPECT_EQ(p.bound, key) << "ties remain";
+            } else {
+                for (std::uint64_t mm = m.eligible & ~bit(w); mm;
+                     mm &= mm - 1) {
+                    const unsigned c = unsigned(std::countr_zero(mm));
+                    EXPECT_LE(p.bound, m.ready[c]) << "bound over ctx " << c;
+                }
+            }
+            now = key;
+            rr = (w + 1) % n;
+            while (below(4) == 0)
+                moveOther(w);
+            // Close the batch: republish the winner, often at the key.
+            const unsigned how = unsigned(below(10));
+            const Cycle t = now + (below(3) ? below(3) : below(150));
+            if (how == 0)
+                retire(w);
+            else if (how == 1)
+                block(w, t);
+            else
+                setReady(w, t);
+        } else if (r < 50) {
+            EXPECT_EQ(idx.peekKey(), m.minKey());
+        } else if (r < 65) {
+            setReady(unsigned(below(n)), nearKey());
+        } else if (r < 73) {
+            if (m.eligible)
+                block(anyOf(m.eligible), nearKey());
+        } else if (r < 88) {
+            if (m.live & ~m.eligible)
+                unblock(anyOf(m.live & ~m.eligible), nearKey());
+        } else if (r < 90) {
+            if (m.live)
+                retire(anyOf(m.live));
+        } else if (r < 96) {
+            sync(unsigned(below(n)));
+        } else if (r < 97) {
+            idx.reset(n);
+            for (unsigned c = 0; c < n; ++c)
+                sync(c);
+        } else {
+            rr = unsigned(below(n)); // a lock-waiter replay moved it
+        }
+        EXPECT_EQ(idx.anyLive(), m.live != 0);
+        if (::testing::Test::HasFailure())
+            return op;
+    }
+    return ops;
+}
+
 } // namespace
 
 TEST(LockWaitersOracle, RandomSequencesMatchStepByStepModel)
@@ -302,4 +503,21 @@ TEST(LockWaitersOracle, WakingAGroupLeavesLaterWaitersOfItsPhaseParked)
         EXPECT_EQ(rr, wake ? 0u : 2u);
         EXPECT_EQ(lw.dueAt(5), 164 + 2 * period);
     }
+}
+
+TEST(SchedIndexOracle, RandomSequencesMatchScanModel)
+{
+    unsigned played = 0;
+    std::uint64_t seed = 1;
+    for (const unsigned n : {1u, 2u, 8u, 16u, 17u, 33u, 64u}) {
+        for (const bool steer : {false, true}) {
+            for (int rep = 0; rep < 3; ++rep, ++seed) {
+                played += playIndexSequence(seed, n, steer, 3000);
+                ASSERT_FALSE(::testing::Test::HasFailure())
+                    << "seed " << seed << ", " << n << " contexts"
+                    << (steer ? ", steered" : "");
+            }
+        }
+    }
+    EXPECT_GE(played, 126000u);
 }
