@@ -90,10 +90,10 @@ struct SystemOptions
 
 /**
  * Expand high-level options into the full machine configuration. The
- * simulator's fast paths (coherence directory, translation cache,
- * decode cache, scheduler index) are always on here; their reference
- * implementations are selected on the returned MachineConfig only,
- * which is how the equivalence tests reach them.
+ * simulator's fast paths (coherence directory, decode cache, scheduler
+ * index) are always on here; their reference implementations are
+ * selected on the returned MachineConfig only, which is how the
+ * equivalence tests reach them.
  */
 sim::MachineConfig makeMachineConfig(const SystemOptions &opts);
 

@@ -1,6 +1,7 @@
 #include "machine.hh"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 #include <limits>
 #include <memory>
@@ -601,22 +602,18 @@ class Machine
         if (cs.interp->inTx() && suspended)
             ++res_.txAccessesSuspended;
 
-        // 1. Address translation + dynamic classification. The memoized
-        // probe covers the common TLB-hit/no-transition case; misses and
-        // state-changing writes fall through to the full path.
-        vm::TranslateResult tr;
-        if (!vm_->translateFast(int(c), st.addr, st.accessType, tr)) {
-            tr = vm_->translate(int(c), cs.interp->tid(), st.addr,
-                                st.accessType);
-        }
+        // 1. Address translation + dynamic classification.
+        const vm::TranslateResult tr = vm_->translate(
+            int(c), cs.interp->tid(), st.addr, st.accessType);
         cost += tr.cost;
         if (tr.becameUnsafe) {
             trace::event(trace::Category::Vm, now, "page ", tr.pageNum,
                          " became unsafe (ctx ", c, " write), ",
-                         tr.slaveCosts.size(), " shootdown slaves");
+                         std::popcount(tr.slaveMask), " shootdown slaves");
             shootdownCycles_ += cfg_.vm.shootdownInitiatorCycles;
-            for (const auto &[victim, slave] : tr.slaveCosts) {
-                const unsigned v = unsigned(victim);
+            const Cycle slave = cfg_.vm.shootdownSlaveCycles;
+            for (std::uint64_t m = tr.slaveMask; m; m &= m - 1) {
+                const unsigned v = unsigned(std::countr_zero(m));
                 ContextState &vs = ctxs_[v];
                 // A parked waiter's exact readyAt is its group's cycle.
                 const bool parked = !waiters_.empty() && waiters_.parked(v);

@@ -74,9 +74,9 @@ struct MachineConfig
      * path); false selects the reference Instr-walking interpreter. */
     bool decodeCache = true;
     /** Pick runnable contexts through the event-driven scheduler index
-     * (bitmask + min-heap pick with batched stepping); false selects
-     * the reference O(contexts) rotating scan for a run without a
-     * scheduleController (a controlled run always picks through the
+     * (one readyAt scan per tie bucket, with batched stepping); false
+     * selects the reference O(contexts) rotating scan for a run without
+     * a scheduleController (a controlled run always picks through the
      * index). Behavior-preserving: the step sequence and results are
      * bit-identical either way. */
     bool schedIndex = true;

@@ -18,7 +18,7 @@ Tlb::Tlb(unsigned num_entries)
 bool
 Tlb::lookup(Addr page_num, PageState *state_out)
 {
-    Entry *e = lookupEntry(page_num);
+    const Entry *e = lookupEntry(page_num);
     if (!e)
         return false;
     if (state_out)
@@ -26,7 +26,7 @@ Tlb::lookup(Addr page_num, PageState *state_out)
     return true;
 }
 
-Tlb::Entry *
+const Tlb::Entry *
 Tlb::lookupEntry(Addr page_num)
 {
     auto it = index_.find(page_num);
@@ -36,29 +36,24 @@ Tlb::lookupEntry(Addr page_num)
     return &slots_[it->second];
 }
 
-Tlb::Entry *
+void
 Tlb::insert(Addr page_num, PageState state)
 {
     auto it = index_.find(page_num);
     if (it != index_.end()) {
         slots_[it->second].state = state;
         stamps_[it->second] = ++clock_;
-        notifyEvict(page_num); // cached derivations are stale
-        return &slots_[it->second];
+        return;
     }
     // The first minimum: a free slot (stamp 0) while the TLB has room,
     // else the least recently used entry.
     const unsigned slot = unsigned(
         std::min_element(stamps_.begin(), stamps_.end()) - stamps_.begin());
-    if (stamps_[slot] != 0) {
-        const Addr victim = slots_[slot].page;
-        index_.erase(victim);
-        notifyEvict(victim);
-    }
+    if (stamps_[slot] != 0)
+        index_.erase(slots_[slot].page);
     slots_[slot] = Entry{page_num, state};
     stamps_[slot] = ++clock_;
     index_.emplace(page_num, slot);
-    return &slots_[slot];
 }
 
 bool
@@ -69,7 +64,6 @@ Tlb::invalidate(Addr page_num)
         return false;
     stamps_[it->second] = 0;
     index_.erase(it);
-    notifyEvict(page_num);
     return true;
 }
 
@@ -77,10 +71,8 @@ void
 Tlb::updateState(Addr page_num, PageState state)
 {
     auto it = index_.find(page_num);
-    if (it != index_.end()) {
+    if (it != index_.end())
         slots_[it->second].state = state;
-        notifyEvict(page_num);
-    }
 }
 
 } // namespace vm

@@ -1,7 +1,5 @@
 #include "vm.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace hintm
@@ -10,8 +8,7 @@ namespace vm
 {
 
 Vm::Vm(const VmConfig &cfg)
-    : cfg_(cfg), pt_(std::make_unique<PageTable>(cfg.preserveReadOnly)),
-      fastEnabled_(cfg.translationCache)
+    : cfg_(cfg), pt_(std::make_unique<PageTable>(cfg.preserveReadOnly))
 {
     cTlbHits_ = &stats_.counter("tlb_hits");
     cTlbMisses_ = &stats_.counter("tlb_misses");
@@ -23,43 +20,9 @@ Vm::Vm(const VmConfig &cfg)
 int
 Vm::addContext()
 {
+    HINTM_ASSERT(tlbs_.size() < 64, "more than 64 contexts");
     tlbs_.push_back(std::make_unique<Tlb>(cfg_.tlbEntries));
-    classCaches_.emplace_back(classSlots);
-    const int id = int(tlbs_.size() - 1);
-    // Any event that drops or rewrites a cached translation kills the
-    // memoized classification derived from it.
-    tlbs_[id]->setEvictObserver([this, id](Addr page) {
-        ClassEntry &e = classCaches_[id][page & (classSlots - 1)];
-        if (e.page == page)
-            e.page = ~Addr(0);
-    });
-    return id;
-}
-
-void
-Vm::fillClassEntry(int ctx, Addr page, PageState state, Tlb::Entry *te)
-{
-    if (!fastEnabled_)
-        return;
-    ClassEntry &e = classCaches_[ctx][page & (classSlots - 1)];
-    e.page = page;
-    e.tlbEntry = te;
-    if (cfg_.dynamicClassification) {
-        e.readSafe = pageStateSafe(state);
-        e.readRevocable = state != PageState::Annotated;
-        // PrivateRo/SharedRo transition on a write: keep those on the
-        // slow path so the FSM runs.
-        e.writeOk = state != PageState::PrivateRo &&
-                    state != PageState::SharedRo;
-        e.writeRevocable = state != PageState::Annotated;
-    } else {
-        // Conventional system: only irrevocable annotations classify,
-        // and no write ever transitions a page.
-        e.readSafe = state == PageState::Annotated;
-        e.readRevocable = state != PageState::Annotated;
-        e.writeOk = true;
-        e.writeRevocable = true;
-    }
+    return int(tlbs_.size() - 1);
 }
 
 void
@@ -86,7 +49,7 @@ Vm::translate(int ctx, ThreadId tid, Addr addr, AccessType type)
         // Conventional system: model TLB hit/miss timing only — except
         // that explicit programmer annotations (Notary-style) are still
         // honored: they need no sharing FSM.
-        Tlb::Entry *e = tlb.lookupEntry(res.pageNum);
+        const Tlb::Entry *e = tlb.lookupEntry(res.pageNum);
         PageState cached_state;
         if (!e) {
             ++*cTlbMisses_;
@@ -96,12 +59,11 @@ Vm::translate(int ctx, ThreadId tid, Addr addr, AccessType type)
                                        PageState::Annotated
                                ? PageState::Annotated
                                : PageState::SharedRw;
-            e = tlb.insert(res.pageNum, cached_state);
+            tlb.insert(res.pageNum, cached_state);
         } else {
             ++*cTlbHits_;
             cached_state = e->state;
         }
-        fillClassEntry(ctx, res.pageNum, cached_state, e);
         if (cached_state == PageState::Annotated &&
             type == AccessType::Read) {
             res.safeRead = true;
@@ -114,7 +76,7 @@ Vm::translate(int ctx, ThreadId tid, Addr addr, AccessType type)
     // under this access needs no page-table visit. TLBs are per context
     // and transitions eagerly fix remote cached copies, so a cached
     // Private* entry implies this context's thread owns the page.
-    Tlb::Entry *hit = tlb.lookupEntry(res.pageNum);
+    const Tlb::Entry *hit = tlb.lookupEntry(res.pageNum);
     if (hit) {
         ++*cTlbHits_;
         const PageState cached = hit->state;
@@ -123,7 +85,6 @@ Vm::translate(int ctx, ThreadId tid, Addr addr, AccessType type)
             (cached == PageState::PrivateRo && is_write) ||
             (cached == PageState::SharedRo && is_write);
         if (!transitions) {
-            fillClassEntry(ctx, res.pageNum, cached, hit);
             res.safeRead = !is_write && pageStateSafe(cached);
             res.revocable = cached != PageState::Annotated;
             return res;
@@ -151,8 +112,7 @@ Vm::translate(int ctx, ThreadId tid, Addr addr, AccessType type)
                 continue;
             if (tlbs_[c]->invalidate(res.pageNum)) {
                 ++*cShootdownSlaves_;
-                res.slaveCosts.emplace_back(
-                    c, cfg_.shootdownSlaveCycles);
+                res.slaveMask |= std::uint64_t(1) << c;
             }
         }
     } else if (tr.stateChanged && tr.before != PageState::Untouched) {
@@ -164,8 +124,7 @@ Vm::translate(int ctx, ThreadId tid, Addr addr, AccessType type)
         }
     }
 
-    Tlb::Entry *e = tlb.insert(res.pageNum, tr.after);
-    fillClassEntry(ctx, res.pageNum, tr.after, e);
+    tlb.insert(res.pageNum, tr.after);
     res.safeRead = type == AccessType::Read && pageStateSafe(tr.after);
     res.revocable = tr.after != PageState::Annotated;
     return res;

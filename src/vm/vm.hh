@@ -6,13 +6,9 @@
  * shootdowns (§V: 6600-cycle initiator, 1450-cycle slaves, 1450-cycle
  * minor fault).
  *
- * A per-context translation/classification cache (translateFast) memoizes
- * the fused TLB-hit + safety derivation per page so the simulator's inner
- * loop does one direct-mapped probe instead of a hash lookup plus FSM
- * logic per access. It is invalidated through the TLB's evict observer on
- * every event that could change a page's classification, and it refreshes
- * the underlying TLB entry's LRU stamp on each hit, so results (timing,
- * stats, classifications) are bit-identical to the uncached path.
+ * translate() answers a TLB hit whose cached state the access cannot
+ * change from the safety bits the entry holds (§IV-B); a miss or a
+ * state-changing write walks the page table and runs the FSM.
  */
 
 #ifndef HINTM_VM_VM_HH
@@ -45,10 +41,6 @@ struct VmConfig
     Cycle minorFaultCycles = 1450;
     Cycle shootdownInitiatorCycles = 6600;
     Cycle shootdownSlaveCycles = 1450;
-
-    /** Enable the per-context translation/classification memo
-     * (translateFast). Off = reference path for cross-checking. */
-    bool translationCache = true;
 };
 
 /** Result of translating (and safety-classifying) one access. */
@@ -64,8 +56,9 @@ struct TranslateResult
     /** Page moved to shared-rw: active TXs that read it as safe must
      * abort, and remote TLBs were shot down. */
     bool becameUnsafe = false;
-    /** Per-context stall cycles for shootdown slaves (index = context). */
-    std::vector<std::pair<int, Cycle>> slaveCosts;
+    /** Contexts whose TLB entry was shot down (bit = context); each
+     * stalls VmConfig::shootdownSlaveCycles. */
+    std::uint64_t slaveMask = 0;
     /** Page number of the access. */
     Addr pageNum = 0;
 };
@@ -79,7 +72,8 @@ class Vm
   public:
     explicit Vm(const VmConfig &cfg);
 
-    /** Register a hardware context; @return its id (dense from 0). */
+    /** Register a hardware context (at most 64); @return its id (dense
+     * from 0). */
     int addContext();
 
     /**
@@ -89,34 +83,6 @@ class Vm
      */
     TranslateResult translate(int ctx, ThreadId tid, Addr addr,
                               AccessType type);
-
-    /**
-     * Memoized fast path: resolve a TLB-hit, non-transitioning access
-     * from the per-context classification cache. @return true when
-     * @p res was filled (bit-identical to what translate() would
-     * produce, including stat/LRU effects); false means the caller must
-     * take translate().
-     */
-    bool
-    translateFast(int ctx, Addr addr, AccessType type,
-                  TranslateResult &res)
-    {
-        if (!fastEnabled_)
-            return false;
-        const Addr page = pageNumber(addr);
-        ClassEntry &e = classCaches_[ctx][page & (classSlots - 1)];
-        if (e.page != page)
-            return false;
-        const bool is_write = type == AccessType::Write;
-        if (is_write && !e.writeOk)
-            return false; // write would transition the page: slow path
-        ++*cTlbHits_;
-        tlbs_[ctx]->touch(e.tlbEntry);
-        res.pageNum = page;
-        res.safeRead = !is_write && e.readSafe;
-        res.revocable = is_write ? e.writeRevocable : e.readRevocable;
-        return true;
-    }
 
     /**
      * Apply a Notary-style annotation: mark the pages covering
@@ -132,28 +98,9 @@ class Vm
     stats::StatGroup &statGroup() { return stats_; }
 
   private:
-    static constexpr unsigned classSlots = 256;
-
-    /** One memoized (context, page) classification. Direct-mapped. */
-    struct ClassEntry
-    {
-        Addr page = ~Addr(0);
-        Tlb::Entry *tlbEntry = nullptr;
-        bool readSafe = false;
-        bool readRevocable = true;
-        bool writeOk = false;
-        bool writeRevocable = true;
-    };
-
-    /** Memoize @p state's derived classification for (ctx, page). */
-    void fillClassEntry(int ctx, Addr page, PageState state,
-                        Tlb::Entry *te);
-
     VmConfig cfg_;
     std::unique_ptr<PageTable> pt_;
     std::vector<std::unique_ptr<Tlb>> tlbs_;
-    std::vector<std::vector<ClassEntry>> classCaches_;
-    bool fastEnabled_;
     stats::StatGroup stats_{"vm"};
 
     // Hot counters, resolved once instead of by-name per access.

@@ -495,7 +495,7 @@ TEST(SchedIndexWake, DoubleWakeInOneStepLastKeyWins)
     EXPECT_EQ(p.winner, 19);
 }
 
-TEST(SchedIndexWake, DenseModeHonorsChooser)
+TEST(SchedIndexWake, SmallMachineHonorsChooser)
 {
     sim::SchedIndex idx;
     idx.reset(4); // a small machine

@@ -6,6 +6,8 @@
  *  - MESI single-writer invariant over random access traces;
  *  - page-FSM monotonicity (safety never resurrects) over random
  *    multi-thread access sequences;
+ *  - translation oracle: Vm::translate matches a reference model of
+ *    the TLB, the page FSM and their costs over random streams;
  *  - signature completeness (no false negatives) over random sets;
  *  - end-to-end serializability: a shared counter workload commits
  *    exactly its increment count under every (seed, HTM, mechanism)
@@ -20,8 +22,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
 #include <map>
 #include <ostream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "../bench/result_store.hh"
 #include "common/rng.hh"
@@ -30,6 +37,7 @@
 #include "mem/mem_system.hh"
 #include "tir/builder.hh"
 #include "vm/page_table.hh"
+#include "vm/vm.hh"
 #include "workloads/workloads.hh"
 
 using namespace hintm;
@@ -138,6 +146,325 @@ INSTANTIATE_TEST_SUITE_P(
     SeedsAndPolicies, PageFsmProperty,
     ::testing::Combine(::testing::Values(11u, 22u, 33u, 44u),
                        ::testing::Bool()));
+
+/**
+ * Translation oracle: vm::Vm::translate against a reference model of
+ * §IV-B written here without any of the Vm's data structures. The model
+ * keeps each context's TLB as a most-recent-first list of page numbers
+ * and reads every safety bit from its own copy of the Fig. 2 state
+ * machine, so none of its TLB entries can hold a stale classification.
+ * A stale safety bit in a real TLB entry, a wrong LRU victim, a missed
+ * or extra shootdown, or a wrongly charged cost shows up as a differing
+ * TranslateResult, counter or final page state. Both sides see the same
+ * random stream of Notary-style annotations and of accesses, with one
+ * software thread per context as the machine runs them.
+ *
+ * The grid: machines of 1 (no remote TLB), 2, 3, 8 (the paper's) and
+ * 64 contexts (the top bit of slaveMask); TLBs of 1 entry (every fill
+ * evicts), 2, 8 and the default 64; the conventional, HinTM and
+ * HinTM + preserve policies; per-context working sets that fit the TLB
+ * (only shootdowns force refills) or spill it four times over; random
+ * or cyclic page order (a cyclic sweep of a spilling set never hits
+ * under LRU); and with or without annotations before and during the
+ * stream.
+ */
+enum class VmPolicy
+{
+    Conventional,
+    HinTM,
+    Preserve,
+};
+
+struct OracleCase
+{
+    unsigned contexts;
+    unsigned tlbEntries;
+    VmPolicy policy;
+    bool spills;
+    bool sweep;
+    bool annotated;
+};
+
+void
+PrintTo(const OracleCase &c, std::ostream *os)
+{
+    static const char *const policies[] = {"conventional", "HinTM",
+                                           "preserve"};
+    *os << c.contexts << "ctx:" << c.tlbEntries << "tlb:"
+        << policies[unsigned(c.policy)] << ':'
+        << (c.spills ? "spills" : "fits") << ':'
+        << (c.sweep ? "sweep" : "random");
+    if (c.annotated)
+        *os << ":annotated";
+}
+
+std::vector<OracleCase>
+allOracleCases()
+{
+    std::vector<OracleCase> cases;
+    for (const unsigned contexts : {1u, 2u, 3u, 8u, 64u})
+        for (const unsigned tlb : {1u, 2u, 8u, 64u})
+            for (const VmPolicy policy : {VmPolicy::Conventional,
+                                          VmPolicy::HinTM, VmPolicy::Preserve})
+                for (const bool spills : {false, true})
+                    for (const bool sweep : {false, true})
+                        for (const bool annotated : {false, true})
+                            cases.push_back({contexts, tlb, policy, spills,
+                                             sweep, annotated});
+    return cases;
+}
+
+namespace
+{
+
+/** The reference model of translate described above. */
+class TranslateModel
+{
+  public:
+    struct Page
+    {
+        vm::PageState state = vm::PageState::Untouched;
+        ThreadId owner = invalidThreadId;
+    };
+
+    TranslateModel(const vm::VmConfig &cfg, unsigned contexts)
+        : cfg_(cfg), tlbs_(contexts)
+    {
+    }
+
+    vm::TranslateResult
+    translate(unsigned ctx, ThreadId tid, Addr addr, AccessType type)
+    {
+        using vm::PageState;
+        vm::TranslateResult res;
+        res.pageNum = addr / pageBytes;
+        const bool write = type == AccessType::Write;
+
+        std::list<Addr> &tlb = tlbs_[ctx];
+        const auto it = std::find(tlb.begin(), tlb.end(), res.pageNum);
+        if (it != tlb.end()) {
+            tlb.splice(tlb.begin(), tlb, it);
+            ++hits;
+        } else {
+            ++misses;
+            res.cost += cfg_.pageWalkCycles;
+            tlb.push_front(res.pageNum);
+            if (tlb.size() > cfg_.tlbEntries)
+                tlb.pop_back();
+        }
+
+        if (!cfg_.dynamicClassification) {
+            // No sharing FSM: only an annotation makes a read safe.
+            const auto p = pages.find(res.pageNum);
+            if (!write && p != pages.end() &&
+                p->second.state == PageState::Annotated) {
+                res.safeRead = true;
+                res.revocable = false;
+            }
+            return res;
+        }
+
+        Page &p = pages[res.pageNum];
+        bool fault = false;
+        switch (p.state) {
+          case PageState::Untouched:
+            p.owner = tid;
+            p.state = write ? PageState::PrivateRw : PageState::PrivateRo;
+            break;
+          case PageState::PrivateRo:
+            if (tid == p.owner) {
+                fault = write;
+                if (write)
+                    p.state = PageState::PrivateRw;
+            } else {
+                p.state = write ? PageState::SharedRw : PageState::SharedRo;
+                res.becameUnsafe = write;
+            }
+            break;
+          case PageState::PrivateRw:
+            if (tid == p.owner)
+                break;
+            if (!write && cfg_.preserveReadOnly) {
+                p.state = PageState::SharedRo;
+                fault = true;
+            } else {
+                p.state = PageState::SharedRw;
+                res.becameUnsafe = true;
+            }
+            break;
+          case PageState::SharedRo:
+            if (write) {
+                p.state = PageState::SharedRw;
+                res.becameUnsafe = true;
+            }
+            break;
+          case PageState::SharedRw:
+          case PageState::Annotated:
+            break;
+        }
+
+        if (fault) {
+            ++faults;
+            res.cost += cfg_.minorFaultCycles;
+        }
+        if (res.becameUnsafe) {
+            ++unsafeTransitions;
+            res.cost += cfg_.shootdownInitiatorCycles;
+            for (unsigned c = 0; c < tlbs_.size(); ++c) {
+                std::list<Addr> &remote = tlbs_[c];
+                const auto r =
+                    std::find(remote.begin(), remote.end(), res.pageNum);
+                if (c != ctx && r != remote.end()) {
+                    remote.erase(r);
+                    ++slaves;
+                    res.slaveMask |= std::uint64_t(1) << c;
+                }
+            }
+        }
+        // Every state a touched page can be in but shared-rw is safe.
+        res.safeRead = !write && p.state != PageState::SharedRw;
+        res.revocable = p.state != PageState::Annotated;
+        return res;
+    }
+
+    void
+    annotate(Addr base, std::uint64_t len)
+    {
+        for (Addr page = base / pageBytes; page <= (base + len - 1) / pageBytes;
+             ++page)
+            pages[page].state = vm::PageState::Annotated;
+    }
+
+    /** Every page the FSM or an annotation has seen. */
+    std::map<Addr, Page> pages;
+    std::uint64_t hits = 0, misses = 0, faults = 0;
+    std::uint64_t unsafeTransitions = 0, slaves = 0;
+
+  private:
+    const vm::VmConfig cfg_;
+    /** Per context: cached page numbers, most recently used first. */
+    std::vector<std::list<Addr>> tlbs_;
+};
+
+bool
+sameResult(const vm::TranslateResult &a, const vm::TranslateResult &b)
+{
+    return a.safeRead == b.safeRead && a.revocable == b.revocable &&
+           a.cost == b.cost && a.becameUnsafe == b.becameUnsafe &&
+           a.slaveMask == b.slaveMask && a.pageNum == b.pageNum;
+}
+
+std::string
+show(const vm::TranslateResult &r)
+{
+    std::ostringstream os;
+    os << "page " << r.pageNum << " cost " << r.cost
+       << (r.safeRead ? " safe" : " unsafe")
+       << (r.revocable ? " revocable" : " irrevocable")
+       << (r.becameUnsafe ? " becameUnsafe" : "") << " slaves 0x"
+       << std::hex << r.slaveMask;
+    return os.str();
+}
+
+} // namespace
+
+class TranslationOracle : public ::testing::TestWithParam<OracleCase>
+{
+};
+
+TEST_P(TranslationOracle, TranslateMatchesReferenceModel)
+{
+    const OracleCase &c = GetParam();
+    vm::VmConfig cfg;
+    cfg.dynamicClassification = c.policy != VmPolicy::Conventional;
+    cfg.preserveReadOnly = c.policy == VmPolicy::Preserve;
+    cfg.tlbEntries = c.tlbEntries;
+    vm::Vm real(cfg);
+    for (unsigned i = 0; i < c.contexts; ++i)
+        ASSERT_EQ(real.addContext(), int(i));
+    TranslateModel model(cfg, c.contexts);
+
+    // Each context's working set: a pool of pages every context shares,
+    // then private pages of its own. Even pages of either pool are
+    // written now and then; odd ones are only ever read.
+    const unsigned shared = c.spills ? 2 * c.tlbEntries
+                                     : (c.tlbEntries + 1) / 2;
+    const unsigned priv = c.spills ? 2 * c.tlbEntries : c.tlbEntries / 2;
+    const unsigned set = shared + priv;
+    const Addr base = 0x100;
+    const auto page_addr = [&](unsigned ctx, unsigned j) {
+        const Addr page = j < shared ? base + j
+                                     : base + shared + ctx * priv + j - shared;
+        return page * pageBytes;
+    };
+    const auto annotate = [&](Addr addr, std::uint64_t len) {
+        real.annotateRange(addr, len);
+        model.annotate(addr, len);
+    };
+
+    // A shared page that would otherwise go unsafe is annotated before
+    // the stream; halfway through, an unaligned range covering the last
+    // shared page and the page after it (context 0's first private page
+    // when contexts have any).
+    if (c.annotated)
+        annotate(page_addr(0, 0), pageBytes);
+
+    Rng rng(c.contexts * 1000003u + c.tlbEntries * 1009u +
+            unsigned(c.policy) * 101u + c.spills * 8u + c.sweep * 4u +
+            c.annotated * 2u + 1u);
+    std::vector<unsigned> cursor(c.contexts);
+    for (unsigned i = 0; i < c.contexts; ++i)
+        cursor[i] = i % set;
+    const unsigned steps = c.contexts * std::max(4 * set, 256u);
+    for (unsigned step = 0; step < steps; ++step) {
+        if (c.annotated && step == steps / 2)
+            annotate(page_addr(0, shared - 1) + pageBytes / 2, pageBytes);
+        const unsigned ctx = unsigned(rng.below(c.contexts));
+        // The machine runs one software thread per context; the ids
+        // differ from the context numbers.
+        const ThreadId tid = ThreadId(c.contexts - 1 - ctx);
+        const unsigned j =
+            c.sweep ? cursor[ctx]++ % set : unsigned(rng.below(set));
+        const bool writable = (j < shared ? j : j - shared) % 2 == 0;
+        const AccessType type = writable && rng.below(4) == 0
+                                    ? AccessType::Write
+                                    : AccessType::Read;
+        const Addr addr = page_addr(ctx, j) + rng.below(pageBytes / 8) * 8;
+        const vm::TranslateResult got =
+            real.translate(int(ctx), tid, addr, type);
+        const vm::TranslateResult want = model.translate(ctx, tid, addr, type);
+        ASSERT_TRUE(sameResult(got, want))
+            << "step " << step << ": ctx " << ctx
+            << (type == AccessType::Write ? " writes " : " reads ") << "0x"
+            << std::hex << addr << "\n  translate: " << show(got)
+            << "\n  model:     " << show(want);
+    }
+
+    stats::StatGroup &st = real.statGroup();
+    EXPECT_EQ(st.counter("tlb_hits").value(), model.hits);
+    EXPECT_EQ(st.counter("tlb_misses").value(), model.misses);
+    EXPECT_EQ(st.counter("minor_faults").value(), model.faults);
+    EXPECT_EQ(st.counter("unsafe_transitions").value(),
+              model.unsafeTransitions);
+    EXPECT_EQ(st.counter("shootdown_slaves").value(), model.slaves);
+
+    const vm::PageTable &pt = real.pageTable();
+    EXPECT_EQ(pt.totalPages(), model.pages.size());
+    for (const auto &[page, p] : model.pages) {
+        EXPECT_EQ(pt.stateOf(page * pageBytes), p.state) << "page " << page;
+        EXPECT_EQ(pt.ownerOf(page * pageBytes), p.owner) << "page " << page;
+    }
+
+    // LRU on its own: a cyclic sweep over four times the TLB's reach
+    // evicts every page before it comes round again.
+    if (c.sweep && c.spills)
+        EXPECT_EQ(st.counter("tlb_hits").value(), 0u);
+    else
+        EXPECT_GT(st.counter("tlb_hits").value(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Grid, TranslationOracle,
+                         ::testing::ValuesIn(allOracleCases()));
 
 class SignatureProperty
     : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>
@@ -250,8 +577,7 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, DeterminismProperty,
 /**
  * Every simulator fast path keeps its original implementation as the
  * oracle it must match bit for bit: broadcast coherence
- * (MemConfig::directory), the un-memoized translate
- * (VmConfig::translationCache), the Instr-walking interpreter
+ * (MemConfig::directory), the Instr-walking interpreter
  * (MachineConfig::decodeCache) and the rotating scheduler scan
  * (MachineConfig::schedIndex). Turning any one of them off must leave
  * the full RunResult encoding — cycles, abort breakdowns, footprint
@@ -272,7 +598,6 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, DeterminismProperty,
 enum class RefPath
 {
     Broadcast,
-    Translate,
     Interpreter,
     SchedScan,
 };
@@ -293,8 +618,8 @@ struct RefCase
 void
 PrintTo(const RefCase &c, std::ostream *os)
 {
-    static const char *const paths[] = {"Broadcast", "Translate",
-                                        "Interpreter", "SchedScan"};
+    static const char *const paths[] = {"Broadcast", "Interpreter",
+                                        "SchedScan"};
     *os << paths[unsigned(c.path)] << ':' << c.kernel << ':'
         << htm::htmKindName(c.kind) << ':' << c.contexts << "ctx:";
     if (c.smt > 1)
@@ -317,8 +642,8 @@ allRefCases()
                             {64, 1, 1},      {64, 1, 4}, {8, 2, 1},
                             {8, 1, 1, true}, {8, 2, 1, true}};
     std::vector<RefCase> cases;
-    for (const RefPath path : {RefPath::Broadcast, RefPath::Translate,
-                               RefPath::Interpreter, RefPath::SchedScan})
+    for (const RefPath path :
+         {RefPath::Broadcast, RefPath::Interpreter, RefPath::SchedScan})
         for (const std::string &kernel : workloads::allNames())
             for (const htm::HtmKind kind :
                  {htm::HtmKind::P8, htm::HtmKind::P8S, htm::HtmKind::L1TM})
@@ -364,12 +689,10 @@ TEST_P(ReferencePathEquivalence, FastPathMatchesReferenceExactly)
     sim::MachineConfig fast = core::makeMachineConfig(opts);
     if (c.pressure)
         fast.mem.l1SizeBytes = 4096;
-    ASSERT_TRUE(fast.mem.directory && fast.vm.translationCache &&
-                fast.decodeCache && fast.schedIndex);
+    ASSERT_TRUE(fast.mem.directory && fast.decodeCache && fast.schedIndex);
     sim::MachineConfig ref = fast;
     switch (c.path) {
       case RefPath::Broadcast: ref.mem.directory = false; break;
-      case RefPath::Translate: ref.vm.translationCache = false; break;
       case RefPath::Interpreter: ref.decodeCache = false; break;
       case RefPath::SchedScan: ref.schedIndex = false; break;
     }

@@ -2,12 +2,13 @@
  * @file
  * Unit tests for the virtual-memory subsystem: the Fig. 2 page safety
  * state machine (including the preserve-read-only variant), TLB
- * behavior, shootdown cost accounting and the translate() fast path.
+ * behavior, shootdown cost accounting and translate()'s TLB-hit path.
  */
 
 #include <gtest/gtest.h>
 
-#include <vector>
+#include <cstdint>
+#include <stdexcept>
 
 #include "vm/page_table.hh"
 #include "vm/tlb.hh"
@@ -139,41 +140,27 @@ TEST(Tlb, InvalidateAndUpdate)
     EXPECT_EQ(st, PageState::SharedRo);
 }
 
-TEST(Tlb, TouchRefreshesTheVictimOrder)
+TEST(Tlb, LookupRefreshesTheVictimOrder)
 {
     Tlb tlb(3);
-    Tlb::Entry *a = tlb.insert(1, PageState::PrivateRo);
+    tlb.insert(1, PageState::PrivateRo);
     tlb.insert(2, PageState::PrivateRo);
     tlb.insert(3, PageState::PrivateRo);
-    tlb.touch(a); // 1 becomes most recent: 2 is now LRU
-    std::vector<Addr> evicted;
-    tlb.setEvictObserver([&](Addr p) { evicted.push_back(p); });
+    ASSERT_NE(tlb.lookupEntry(1), nullptr); // 1 most recent: 2 is LRU
     tlb.insert(4, PageState::PrivateRo);
+    EXPECT_FALSE(tlb.contains(2));
+    EXPECT_TRUE(tlb.contains(3));
     tlb.insert(5, PageState::PrivateRo);
-    EXPECT_EQ(evicted, (std::vector<Addr>{2, 3}));
+    EXPECT_FALSE(tlb.contains(3));
     EXPECT_TRUE(tlb.contains(1));
+    EXPECT_TRUE(tlb.contains(4));
     // An invalidated slot is reused before any live entry is evicted.
-    evicted.clear();
     EXPECT_TRUE(tlb.invalidate(4));
     tlb.insert(6, PageState::PrivateRo);
-    EXPECT_EQ(evicted, (std::vector<Addr>{4})); // the invalidation only
+    EXPECT_TRUE(tlb.contains(1));
+    EXPECT_TRUE(tlb.contains(5));
+    EXPECT_TRUE(tlb.contains(6));
     EXPECT_EQ(tlb.size(), 3u);
-}
-
-TEST(Tlb, EntriesStayStableAcrossUnrelatedInsertsAndEvictions)
-{
-    Tlb tlb(4);
-    Tlb::Entry *keep = tlb.insert(100, PageState::SharedRo);
-    for (Addr p = 0; p < 40; ++p) {
-        tlb.insert(p, PageState::PrivateRw);
-        tlb.touch(keep); // never the victim
-        if (p % 3 == 0)
-            tlb.invalidate(p);
-    }
-    ASSERT_TRUE(tlb.contains(100));
-    EXPECT_EQ(keep, tlb.lookupEntry(100));
-    EXPECT_EQ(keep->page, 100u);
-    EXPECT_EQ(keep->state, PageState::SharedRo);
 }
 
 TEST(Vm, DisabledClassificationOnlyModelsTlb)
@@ -204,9 +191,12 @@ TEST(Vm, SafeReadFlagFollowsPageState)
 
     r = vm.translate(c1, 1, pageA, AccessType::Write);
     EXPECT_TRUE(r.becameUnsafe);
+    EXPECT_EQ(r.slaveMask, std::uint64_t(1) << c0);
 
+    // c0's entry was shot down: it walks again and reads shared-rw.
     r = vm.translate(c0, 0, pageA, AccessType::Read);
-    EXPECT_FALSE(r.safeRead); // shared-rw
+    EXPECT_FALSE(r.safeRead);
+    EXPECT_EQ(r.cost, VmConfig{}.pageWalkCycles);
 }
 
 TEST(Vm, WritesAreNeverDynamicallySafe)
@@ -232,10 +222,22 @@ TEST(Vm, ShootdownChargesCachingContextsOnly)
     const auto r = vm.translate(c1, 1, pageA, AccessType::Write);
     ASSERT_TRUE(r.becameUnsafe);
     EXPECT_GE(r.cost, cfg.shootdownInitiatorCycles);
-    ASSERT_EQ(r.slaveCosts.size(), 1u);
-    EXPECT_EQ(r.slaveCosts[0].first, c0);
-    EXPECT_EQ(r.slaveCosts[0].second, cfg.shootdownSlaveCycles);
+    EXPECT_EQ(r.slaveMask, std::uint64_t(1) << c0);
     (void)c2;
+}
+
+TEST(Vm, ShootdownMaskCoversSixtyFourContexts)
+{
+    Vm vm(VmConfig{});
+    for (int i = 0; i < 64; ++i)
+        vm.addContext();
+    EXPECT_THROW(vm.addContext(), std::logic_error);
+
+    vm.translate(63, 63, pageA, AccessType::Read);
+    vm.translate(0, 0, pageA, AccessType::Read);
+    const auto r = vm.translate(0, 0, pageA, AccessType::Write);
+    ASSERT_TRUE(r.becameUnsafe);
+    EXPECT_EQ(r.slaveMask, std::uint64_t(1) << 63);
 }
 
 TEST(Vm, MinorFaultChargedOnOwnerUpgrade)
@@ -253,15 +255,25 @@ TEST(Vm, FastPathSkipsWalkOnStableStates)
 {
     Vm vm(VmConfig{});
     const int c = vm.addContext();
-    vm.translate(c, 0, pageA, AccessType::Read);
+    const auto walk = vm.translate(c, 0, pageA, AccessType::Read);
     const auto before = vm.statGroup().counter("tlb_hits").value();
-    // Repeated reads of a private-ro page hit the TLB fast path.
+    // Repeated reads anywhere in a private-ro page hit the TLB fast path.
     for (int i = 0; i < 5; ++i) {
-        const auto r = vm.translate(c, 0, pageA, AccessType::Read);
+        const auto r = vm.translate(c, 0, pageA + 64 * i, AccessType::Read);
         EXPECT_TRUE(r.safeRead);
+        EXPECT_TRUE(r.revocable);
         EXPECT_EQ(r.cost, 0u);
+        EXPECT_EQ(r.pageNum, walk.pageNum);
     }
     EXPECT_EQ(vm.statGroup().counter("tlb_hits").value(), before + 5);
+
+    // So do writes to the private-rw page the first write leaves.
+    vm.translate(c, 0, pageA, AccessType::Write);
+    const auto faults = vm.statGroup().counter("minor_faults").value();
+    const auto w = vm.translate(c, 0, pageA + 64, AccessType::Write);
+    EXPECT_EQ(w.cost, 0u);
+    EXPECT_FALSE(w.safeRead);
+    EXPECT_EQ(vm.statGroup().counter("minor_faults").value(), faults);
 }
 
 TEST(Vm, BenignTransitionUpdatesRemoteTlbInPlace)
@@ -305,106 +317,20 @@ TEST(Vm, PreserveCountsRemoteDemotionFault)
     EXPECT_GE(r.cost, cfg.minorFaultCycles);
 }
 
-// ---- translateFast: the memoized classification probe --------------
-
-TEST(Vm, TranslateFastHitMatchesTranslateAndCountsAsTlbHit)
+// A TLB entry's safety bits are the only cached classification, so an
+// annotation must reach the entry itself.
+TEST(Vm, AnnotationReclassifiesACachedPageWithoutRefill)
 {
     Vm vm(VmConfig{});
     const int c = vm.addContext();
-    vm.translate(c, 0, pageA, AccessType::Read); // fill TLB + memo
-    const auto before = vm.statGroup().counter("tlb_hits").value();
-
-    TranslateResult fast;
-    ASSERT_TRUE(vm.translateFast(c, pageA + 64, AccessType::Read, fast));
-    const auto slow = vm.translate(c, 0, pageA + 128, AccessType::Read);
-    EXPECT_EQ(fast.safeRead, slow.safeRead);
-    EXPECT_EQ(fast.revocable, slow.revocable);
-    EXPECT_EQ(fast.cost, 0u);
-    EXPECT_EQ(fast.pageNum, slow.pageNum);
-    // Both paths bill the same counter.
-    EXPECT_EQ(vm.statGroup().counter("tlb_hits").value(), before + 2);
-}
-
-TEST(Vm, TranslateFastMissesOnColdAndTransitioningAccesses)
-{
-    Vm vm(VmConfig{});
-    const int c = vm.addContext();
-    TranslateResult r;
-    // Cold page: no memo yet.
-    EXPECT_FALSE(vm.translateFast(c, pageA, AccessType::Read, r));
-    vm.translate(c, 0, pageA, AccessType::Read); // private-ro
-    // A write to private-ro transitions the FSM: must take translate().
-    EXPECT_FALSE(vm.translateFast(c, pageA, AccessType::Write, r));
-    vm.translate(c, 0, pageA, AccessType::Write); // now private-rw
-    // Writes to private-rw are stable: fast path applies.
-    EXPECT_TRUE(vm.translateFast(c, pageA, AccessType::Write, r));
-    EXPECT_FALSE(r.safeRead);
-}
-
-TEST(Vm, TranslateFastInvalidatedByShootdown)
-{
-    Vm vm(VmConfig{});
-    const int c0 = vm.addContext();
-    const int c1 = vm.addContext();
-    vm.translate(c0, 0, pageA, AccessType::Read);
-    vm.translate(c1, 1, pageA, AccessType::Read); // shared-ro everywhere
-    TranslateResult r;
-    ASSERT_TRUE(vm.translateFast(c1, pageA, AccessType::Read, r));
-    EXPECT_TRUE(r.safeRead);
-
-    // Thread 0 writes: unsafe transition shoots down c1's TLB entry and
-    // must kill its memo too.
-    vm.translate(c0, 0, pageA, AccessType::Write);
-    EXPECT_FALSE(vm.translateFast(c1, pageA, AccessType::Read, r));
-    const auto ref = vm.translate(c1, 1, pageA, AccessType::Read);
-    EXPECT_FALSE(ref.safeRead); // shared-rw now
-}
-
-TEST(Vm, TranslateFastInvalidatedByTlbEviction)
-{
-    VmConfig cfg;
-    cfg.tlbEntries = 2;
-    Vm vm(cfg);
-    const int c = vm.addContext();
-    vm.translate(c, 0, 0x10000, AccessType::Read);
-    vm.translate(c, 0, 0x20000, AccessType::Read);
-    TranslateResult r;
-    ASSERT_TRUE(vm.translateFast(c, 0x10000, AccessType::Read, r));
-    vm.translate(c, 0, 0x20000, AccessType::Read); // refresh 0x20000
-    vm.translate(c, 0, 0x30000, AccessType::Read); // evicts 0x10000
-    // The memoized entry for the evicted page must be gone: a fast
-    // probe that succeeded here would skip the page-walk cost.
-    EXPECT_FALSE(vm.translateFast(c, 0x10000, AccessType::Read, r));
-}
-
-TEST(Vm, TranslateFastInvalidatedByAnnotation)
-{
-    Vm vm(VmConfig{});
-    const int c = vm.addContext();
-    vm.translate(c, 0, pageA, AccessType::Read); // private-ro, revocable
-    TranslateResult r;
-    ASSERT_TRUE(vm.translateFast(c, pageA, AccessType::Read, r));
-    EXPECT_TRUE(r.revocable);
+    const auto before = vm.translate(c, 0, pageA, AccessType::Read);
+    ASSERT_TRUE(before.revocable); // private-ro: FSM safety
+    const auto misses = vm.statGroup().counter("tlb_misses").value();
 
     vm.annotateRange(pageA, 64); // irrevocably safe now
-    // The in-place TLB state change must kill the stale memo.
-    EXPECT_FALSE(vm.translateFast(c, pageA, AccessType::Read, r));
-    const auto ref = vm.translate(c, 0, pageA, AccessType::Read);
-    EXPECT_TRUE(ref.safeRead);
-    EXPECT_FALSE(ref.revocable);
-    // After the refill, the fast path must agree with the annotation.
-    ASSERT_TRUE(vm.translateFast(c, pageA, AccessType::Read, r));
+    const auto r = vm.translate(c, 0, pageA, AccessType::Read);
     EXPECT_TRUE(r.safeRead);
     EXPECT_FALSE(r.revocable);
-}
-
-TEST(Vm, TranslationCacheDisabledNeverFastPaths)
-{
-    VmConfig cfg;
-    cfg.translationCache = false;
-    Vm vm(cfg);
-    const int c = vm.addContext();
-    vm.translate(c, 0, pageA, AccessType::Read);
-    TranslateResult r;
-    EXPECT_FALSE(vm.translateFast(c, pageA, AccessType::Read, r));
+    EXPECT_EQ(r.cost, 0u);
+    EXPECT_EQ(vm.statGroup().counter("tlb_misses").value(), misses);
 }
