@@ -18,7 +18,6 @@
 
 #include "bench_util.hh"
 #include "common/cli.hh"
-#include "common/logging.hh"
 #include "common/table.hh"
 #include "tir/builder.hh"
 
@@ -59,10 +58,9 @@ annotatedLabyrinth(workloads::Scale s)
 static int
 run(int argc, char **argv)
 {
-    const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
-    if (!args.only.empty())
-        HINTM_FATAL("ablation_annotations runs only its annotated "
-                    "labyrinth: --workload does not apply");
+    // It runs only its annotated labyrinth: no --workload.
+    bench::BenchArgs args;
+    args.parse(argc, argv, bench::flags::harness & ~bench::flags::Workloads);
     bench::PreparedWorkload p;
     p.wl = annotatedLabyrinth(args.scale);
     p.compileReport = core::compileHints(p.wl.module);

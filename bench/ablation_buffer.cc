@@ -22,9 +22,9 @@ using core::SystemOptions;
 static int
 run(int argc, char **argv)
 {
-    BenchArgs args = BenchArgs::parse(argc, argv);
-    if (args.only.empty())
-        args.only = {"genome", "labyrinth", "vacation", "yada"};
+    BenchArgs args;
+    args.only = {"genome", "labyrinth", "vacation", "yada"};
+    args.parse(argc, argv);
 
     const std::vector<unsigned> sizes = {16, 32, 64, 128, 256, 512};
 

@@ -23,7 +23,8 @@ using core::SystemOptions;
 static int
 run(int argc, char **argv)
 {
-    const BenchArgs args = BenchArgs::parse(argc, argv);
+    BenchArgs args;
+    args.parse(argc, argv);
 
     TextTable t;
     t.header({"workload", "base cycles", "HinTM", "pg-aborts",

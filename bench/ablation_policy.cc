@@ -24,9 +24,9 @@ using core::SystemOptions;
 static int
 run(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
-    if (args.only.empty())
-        args.only = {"kmeans", "intruder", "labyrinth", "tpcc-p"};
+    bench::BenchArgs args;
+    args.only = {"kmeans", "intruder", "labyrinth", "tpcc-p"};
+    args.parse(argc, argv);
 
     TextTable t;
     t.header({"workload", "policy", "base cycles", "base conflicts",

@@ -22,9 +22,9 @@ using core::SystemOptions;
 static int
 run(int argc, char **argv)
 {
-    bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
-    if (args.only.empty())
-        args.only = {"genome", "labyrinth", "yada", "intruder"};
+    bench::BenchArgs args;
+    args.only = {"genome", "labyrinth", "yada", "intruder"};
+    args.parse(argc, argv);
 
     TextTable t;
     t.header({"workload", "baseline", "pre-abort", "HinTM",

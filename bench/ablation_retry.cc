@@ -21,9 +21,9 @@ using core::SystemOptions;
 static int
 run(int argc, char **argv)
 {
-    BenchArgs args = BenchArgs::parse(argc, argv);
-    if (args.only.empty())
-        args.only = {"intruder", "tpcc-p", "vacation"};
+    BenchArgs args;
+    args.only = {"intruder", "tpcc-p", "vacation"};
+    args.parse(argc, argv);
 
     const std::vector<unsigned> retries = {0, 2, 4, 8, 16};
 

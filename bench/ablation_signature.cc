@@ -21,11 +21,10 @@ using core::SystemOptions;
 static int
 run(int argc, char **argv)
 {
-    BenchArgs args = BenchArgs::parse(argc, argv);
-    if (!args.scaleExplicit)
-        args.scale = workloads::Scale::Large;
-    if (args.only.empty())
-        args.only = {"genome", "intruder", "vacation"};
+    BenchArgs args;
+    args.scale = workloads::Scale::Large;
+    args.only = {"genome", "intruder", "vacation"};
+    args.parse(argc, argv);
 
     const std::vector<unsigned> widths = {128, 256, 512, 1024, 2048};
 

@@ -1,11 +1,15 @@
 #include "bench_util.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <iomanip>
 #include <mutex>
+#include <sstream>
 #include <thread>
 
 #include "common/cli.hh"
@@ -18,58 +22,153 @@ namespace hintm
 namespace bench
 {
 
-BenchArgs
-BenchArgs::parse(int argc, char **argv)
+const char *
+FlagValues::next(const char *dflt) const
 {
-    BenchArgs a;
+    if (i + 1 < argc && !(dflt && argv[i + 1][0] == '-'))
+        return argv[++i];
+    if (!dflt)
+        HINTM_FATAL(flag, " needs a value");
+    return dflt;
+}
+
+void
+BenchArgs::parse(int argc, char **argv, unsigned shared,
+                 const OwnFlags &own)
+{
+    const char *slash = std::strrchr(argv[0], '/');
+    const std::string prog = slash ? slash + 1 : argv[0];
+    const BenchArgs preset = *this; // --help shows these as the defaults
+    bool workloadSeen = false;
     for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                HINTM_FATAL(arg, " needs a value");
-            return argv[++i];
+        const std::string a = argv[i];
+        FlagValues v{a, argc, argv, i};
+        // A shared flag outside the binary's set is as unknown to it as
+        // any other: --help lists exactly the flags it takes.
+        const auto unknown = [&] {
+            HINTM_FATAL("unknown option ", a, " (see --help)");
         };
-        if (arg == "--tiny") {
-            a.scale = workloads::Scale::Tiny;
-            a.scaleExplicit = true;
-        } else if (arg == "--small") {
-            a.scale = workloads::Scale::Small;
-            a.scaleExplicit = true;
-        } else if (arg == "--large") {
-            a.scale = workloads::Scale::Large;
-            a.scaleExplicit = true;
-        } else if (arg == "--preserve") {
-            a.preserve = true;
-        } else if (arg == "--workload") {
-            a.only.push_back(next());
-        } else if (arg == "--jobs") {
-            a.jobs = parseFlag<unsigned>(arg, next());
-        } else if (arg == "--lint") {
-            a.lint = true;
-        } else if (arg == "--journal") {
-            a.journal = true;
-        } else if (arg == "--metrics") {
-            a.metrics = true;
-        } else if (arg == "--perfetto") {
-            a.perfettoPath = "perfetto_trace.json";
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                a.perfettoPath = argv[++i];
-            a.journal = true; // a timeline needs records
-        } else if (arg == "--stats-json") {
-            a.statsJsonPath = "stats.json";
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                a.statsJsonPath = argv[++i];
-        } else if (arg == "--help") {
-            std::printf("options: [--tiny|--small|--large] [--preserve] "
-                        "[--workload NAME]... [--jobs N] "
-                        "[--lint] [--journal] [--metrics] "
-                        "[--perfetto [FILE]] [--stats-json [FILE]]\n");
+        const auto is = [&](const char *flag, unsigned bit) {
+            if (a == flag && !(shared & bit))
+                unknown();
+            return a == flag;
+        };
+        if (a == "-h" || a == "--help") {
+            std::fputs(preset.usage(prog, shared, own).c_str(), stdout);
             std::exit(0);
-        } else {
-            HINTM_FATAL("unknown argument ", arg);
+        } else if (is("--workload", flags::Workloads | flags::Workload)) {
+            const std::string name = v.next();
+            if (workloadSeen && !(shared & flags::Workloads))
+                HINTM_FATAL(prog, " runs one workload: --workload '",
+                            only.front(), "' and then '", name, "'");
+            if (!workloadSeen)
+                only.clear(); // the binary's preset list
+            workloadSeen = true;
+            only.push_back(name);
+        } else if (is("--scale", flags::Scale) || is("--tiny", flags::Scale) ||
+                   is("--small", flags::Scale) || is("--large", flags::Scale)) {
+            const std::string s = a == "--scale" ? v.next() : a.substr(2);
+            if (!workloads::scaleByName(s, scale))
+                HINTM_FATAL("--scale expects tiny, small or large, got '",
+                            s, "'");
+        } else if (is("--htm", flags::Htm)) {
+            const std::string s = v.next();
+            if (!htm::htmKindByName(s, htmKind))
+                HINTM_FATAL("--htm expects p8, p8s, l1tm or infcap, got '",
+                            s, "'");
+        } else if (is("--threads", flags::Threads)) {
+            threads = parseFlag<unsigned>(a, v.next());
+        } else if (is("--seed", flags::Seed)) {
+            seed = parseFlag(a, v.next());
+        } else if (is("--retries", flags::Retries)) {
+            retries = parseFlag<unsigned>(a, v.next());
+        } else if (is("--buffer", flags::Buffer)) {
+            bufferEntries = parseFlag<unsigned>(a, v.next());
+        } else if (is("--preserve", flags::Preserve)) {
+            preserve = true;
+        } else if (is("--preabort", flags::Preabort)) {
+            preAbort = true;
+        } else if (is("--jobs", flags::Jobs)) {
+            jobs = parseFlag<unsigned>(a, v.next());
+        } else if (is("--lint", flags::Lint)) {
+            lint = true;
+        } else if (is("--journal", flags::Journal)) {
+            journal = true;
+        } else if (is("--metrics", flags::Metrics)) {
+            metrics = true;
+        } else if (is("--perfetto", flags::Perfetto)) {
+            perfettoPath = v.next("perfetto_trace.json");
+            journal = true; // a timeline needs records
+        } else if (is("--stats-json", flags::StatsJson)) {
+            statsJsonPath = v.next("stats.json");
+        } else if (is("--list", flags::List)) {
+            list = true;
+        } else if (!own.take || !own.take(a, v)) {
+            unknown();
         }
     }
-    return a;
+    // prepare() builds "NAME@N" for --threads N, so a name that already
+    // carries a count would get a second one.
+    for (const std::string &name : only) {
+        if (threads && name.find('@') != std::string::npos)
+            HINTM_FATAL("workload '", name, "' names its own thread "
+                        "count: drop the suffix or --threads ", threads);
+    }
+}
+
+std::string
+BenchArgs::usage(const std::string &prog, unsigned shared,
+                 const OwnFlags &own) const
+{
+    std::ostringstream os;
+    os << "usage: " << prog << " [options]\n";
+    const auto line = [&](unsigned bit, const char *flag, const char *text,
+                          const std::string &dflt = "") {
+        if (!bit || shared & bit)
+            os << "  " << std::left << std::setw(19) << flag << " " << text
+               << (dflt.empty() ? "" : " (default " + dflt + ")") << "\n";
+    };
+    std::string names;
+    for (const std::string &name : only)
+        names += (names.empty() ? "" : " ") + name;
+    std::string kind = htm::htmKindName(htmKind);
+    for (char &c : kind)
+        c = char(std::tolower(static_cast<unsigned char>(c)));
+    line(flags::Workloads, "--workload NAME", "workload to run, repeatable",
+         names.empty() ? "all" : names);
+    line(flags::Workload, "--workload NAME", "workload to run",
+         names.empty() ? "all" : names);
+    line(flags::Scale, "--scale S", "tiny | small | large",
+         workloads::scaleLabel(scale));
+    line(flags::Scale, "--tiny|--small|--large", "shorthand for --scale S");
+    line(flags::Htm, "--htm KIND", "p8 | p8s | l1tm | infcap", kind);
+    line(flags::Threads, "--threads N", "build the workload for N threads",
+         "0: its own count");
+    line(flags::Seed, "--seed N", "RNG seed", std::to_string(seed));
+    line(flags::Retries, "--retries N", "transient-abort retries",
+         std::to_string(retries));
+    line(flags::Buffer, "--buffer N", "TX buffer entries",
+         std::to_string(bufferEntries));
+    line(flags::Preserve, "--preserve", "preserve-read-only page policy");
+    line(flags::Preabort, "--preabort",
+         "convert capacity overflows to critical sections");
+    line(flags::Jobs, "--jobs N", "host threads for the runner",
+         "0: all CPUs");
+    line(flags::Lint, "--lint",
+         "race-lint each workload; abort on any diagnostic");
+    line(flags::Journal, "--journal",
+         "record every TX attempt (observation only)");
+    line(flags::Metrics, "--metrics",
+         "collect capacity-pressure metrics (observation only)");
+    line(flags::Perfetto, "--perfetto [FILE]",
+         "write a Chrome-trace timeline; implies --journal",
+         "perfetto_trace.json");
+    line(flags::StatsJson, "--stats-json [FILE]",
+         "write machine-readable stats records", "stats.json");
+    line(flags::List, "--list", "list the workloads and exit");
+    line(0, "-h|--help", "print this help and exit"); // every binary's
+    os << own.help;
+    return os.str();
 }
 
 std::vector<std::string>
@@ -79,9 +178,13 @@ BenchArgs::names() const
 }
 
 core::SystemOptions
-BenchArgs::options() const
+BenchArgs::options(core::SystemOptions o) const
 {
-    core::SystemOptions o;
+    o.htmKind = htmKind;
+    o.seed = seed;
+    o.maxRetries = retries;
+    o.bufferEntries = bufferEntries;
+    o.preAbortHandler = preAbort;
     o.preserveReadOnly = preserve;
     o.journal = journal;
     o.metrics = metrics;

@@ -1,15 +1,16 @@
 /**
  * @file
- * Shared plumbing for the figure-reproduction harnesses: workload
- * preparation, the shared flags, the parallel experiment runner
- * (runMatrix) with its --perfetto/--stats-json exports, and result
- * formatting helpers.
+ * Shared plumbing for the figure-reproduction harnesses and the tools:
+ * the command-line parser every binary reads its flags through,
+ * workload preparation, the parallel experiment runner (runMatrix) with
+ * its --perfetto/--stats-json exports, and result formatting helpers.
  */
 
 #ifndef HINTM_BENCH_BENCH_UTIL_HH
 #define HINTM_BENCH_BENCH_UTIL_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -22,13 +23,68 @@ namespace hintm
 namespace bench
 {
 
-/** Command-line options shared by all harnesses. */
+/** The shared flags, one bit each. A binary hands BenchArgs::parse the
+ * set it honours; there, any other shared flag is an unknown option. */
+namespace flags
+{
+enum : unsigned
+{
+    Scale = 1u << 0,      ///< --scale S, --tiny, --small, --large
+    Workloads = 1u << 1,  ///< --workload NAME, repeatable
+    Workload = 1u << 2,   ///< --workload NAME, at most once
+    Htm = 1u << 3,        ///< --htm KIND
+    Threads = 1u << 4,    ///< --threads N
+    Seed = 1u << 5,       ///< --seed N
+    Retries = 1u << 6,    ///< --retries N
+    Buffer = 1u << 7,     ///< --buffer N
+    Preserve = 1u << 8,   ///< --preserve
+    Preabort = 1u << 9,   ///< --preabort
+    Jobs = 1u << 10,      ///< --jobs N
+    Lint = 1u << 11,      ///< --lint
+    Journal = 1u << 12,   ///< --journal
+    Metrics = 1u << 13,   ///< --metrics
+    Perfetto = 1u << 14,  ///< --perfetto [FILE]
+    StatsJson = 1u << 15, ///< --stats-json [FILE]
+    List = 1u << 16,      ///< --list
+};
+
+/** The set every figure and ablation harness honours unless it says
+ * otherwise. */
+constexpr unsigned harness = Scale | Workloads | Preserve | Jobs | Lint |
+                             Journal | Metrics | Perfetto | StatsJson;
+} // namespace flags
+
+/** Reads the value of the flag BenchArgs::parse is at, for the shared
+ * flags and a binary's own flags alike. */
+struct FlagValues
+{
+    const std::string &flag;
+    int argc;
+    char **argv;
+    int &i;
+
+    /** The value after the flag. An optional one (default @p dflt) is
+     * the next argument unless that starts with '-'; a required one
+     * (no @p dflt) that is missing is fatal, naming the flag. */
+    const char *next(const char *dflt = nullptr) const;
+};
+
+/** A binary's own flags, beyond the shared ones. */
+struct OwnFlags
+{
+    /** Their --help lines. */
+    const char *help = "";
+    /** Takes one of them, reading its value through @p v; false when
+     * @p flag is none of them. */
+    std::function<bool(const std::string &flag, FlagValues &v)> take;
+};
+
+/** Command-line options shared by all harnesses and tools. */
 struct BenchArgs
 {
     workloads::Scale scale = workloads::Scale::Small;
-    /** True when the user passed an explicit scale flag. */
-    bool scaleExplicit = false;
-    /** Empty = the full suite. */
+    /** Empty = the full suite. A list set before parse() is a preset
+     * that the first --workload replaces. */
     std::vector<std::string> only;
     /** --preserve: the §VI-B preserve-read-only page policy. Applied to
      * configs through options(). */
@@ -52,13 +108,38 @@ struct BenchArgs
     /** --stats-json [FILE]: write machine-readable per-run stats
      * records of the matrix (journal sections when --journal is on). */
     std::string statsJsonPath;
+    /** --htm, --seed, --retries, --buffer and --preabort: applied to
+     * configs through options(), with SystemOptions' defaults. */
+    htm::HtmKind htmKind = core::SystemOptions().htmKind;
+    std::uint64_t seed = core::SystemOptions().seed;
+    unsigned retries = core::SystemOptions().maxRetries;
+    unsigned bufferEntries = core::SystemOptions().bufferEntries;
+    bool preAbort = core::SystemOptions().preAbortHandler;
+    /** --threads N: build the workload for N threads (0 = its own
+     * count). */
+    unsigned threads = 0;
+    /** --list: list the workloads instead of running. */
+    bool list = false;
 
-    static BenchArgs parse(int argc, char **argv);
+    /**
+     * The one argv loop. Reads each shared flag in @p shared (a set of
+     * flags:: bits) into these fields, whose values beforehand are the
+     * binary's defaults; hands every other flag to @p own; and ends with
+     * one fatal: line on a flag neither takes, a missing value or a bad
+     * one. --help (or -h) prints usage() and exits 0.
+     */
+    void parse(int argc, char **argv, unsigned shared = flags::harness,
+               const OwnFlags &own = {});
+    /** The --help text of program @p prog: one line per flag it takes,
+     * with these fields' values as the defaults. */
+    std::string usage(const std::string &prog, unsigned shared,
+                      const OwnFlags &own = {}) const;
     std::vector<std::string> names() const;
-    /** Paper-default options with --preserve and the observation flags
-     * (--journal, --metrics) applied: the starting point of every
-     * harness config. */
-    core::SystemOptions options() const;
+    /** @p o (by default the paper's options) with the shared run flags
+     * applied: the HTM kind, seed, retries, buffer entries, pre-abort,
+     * --preserve and the observation flags (--journal, --metrics). The
+     * starting point of every harness config. */
+    core::SystemOptions options(core::SystemOptions o = {}) const;
 };
 
 /** A workload with hints compiled once, reusable across configs. */

@@ -24,7 +24,8 @@ using core::SystemOptions;
 static int
 run(int argc, char **argv)
 {
-    const BenchArgs args = BenchArgs::parse(argc, argv);
+    BenchArgs args;
+    args.parse(argc, argv);
 
     TextTable t;
     t.header({"workload", "cap-abort time", "safe pages", "safe blocks",

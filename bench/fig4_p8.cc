@@ -25,7 +25,8 @@ using core::SystemOptions;
 static int
 run(int argc, char **argv)
 {
-    const BenchArgs args = BenchArgs::parse(argc, argv);
+    BenchArgs args;
+    args.parse(argc, argv);
 
     TextTable fig4a;
     fig4a.header({"workload", "base cap aborts", "st -cap%", "dyn -cap%",

@@ -26,9 +26,9 @@ using core::SystemOptions;
 static int
 run(int argc, char **argv)
 {
-    BenchArgs args = BenchArgs::parse(argc, argv);
-    if (args.only.empty())
-        args.only = {"genome", "labyrinth", "tpcc-no", "vacation"};
+    BenchArgs args;
+    args.only = {"genome", "labyrinth", "tpcc-no", "vacation"};
+    args.parse(argc, argv);
 
     const std::vector<std::uint64_t> xs = {1,  2,  4,  8,  16, 24,
                                            32, 48, 64, 96, 128};

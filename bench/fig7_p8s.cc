@@ -22,9 +22,9 @@ using core::SystemOptions;
 static int
 run(int argc, char **argv)
 {
-    BenchArgs args = BenchArgs::parse(argc, argv);
-    if (!args.scaleExplicit)
-        args.scale = workloads::Scale::Large;
+    BenchArgs args;
+    args.scale = workloads::Scale::Large;
+    args.parse(argc, argv);
 
     TextTable t7a;
     t7a.header({"workload", "base cap", "base false-cf", "st -cap%",

@@ -23,6 +23,7 @@
 
 #include "bench_util.hh"
 #include "common/cli.hh"
+#include "common/logging.hh"
 #include "common/table.hh"
 #include "sim/journal_io.hh"
 
@@ -48,14 +49,19 @@ numaNodesFor(unsigned cores)
 static int
 run(int argc, char **argv)
 {
-    BenchArgs args = BenchArgs::parse(argc, argv);
+    BenchArgs args;
     // The scaling subset: two conflict-bound kernels (kmeans, tpcc-no),
     // one capacity-bound (intruder) and one mixed (vacation). --workload
     // overrides as usual.
-    if (args.only.empty())
-        args.only = {"kmeans", "intruder", "vacation", "tpcc-no"};
+    args.only = {"kmeans", "intruder", "vacation", "tpcc-no"};
+    args.parse(argc, argv);
 
     const std::vector<std::string> names = args.names();
+    for (const std::string &name : names) {
+        if (name.find('@') != std::string::npos)
+            HINTM_FATAL("workload '", name, "' names its own thread "
+                        "count, but fig_scale sets every count itself");
+    }
     struct Cell
     {
         std::string wlName;

@@ -24,7 +24,8 @@ using core::SystemOptions;
 static int
 run(int argc, char **argv)
 {
-    const BenchArgs args = BenchArgs::parse(argc, argv);
+    BenchArgs args;
+    args.parse(argc, argv);
 
     const std::vector<std::string> names = args.names();
     std::vector<bench::PreparedWorkload> prepared;
@@ -42,7 +43,6 @@ run(int argc, char **argv)
                 SystemOptions o = args.options();
                 o.htmKind = kind;
                 o.mechanism = mech;
-                o.collectTxSizes = true;
                 jobs.push_back({&p, o});
             }
         }

@@ -9,7 +9,6 @@
 
 #include "bench_util.hh"
 #include "common/cli.hh"
-#include "common/logging.hh"
 #include "core/hintm.hh"
 
 using namespace hintm;
@@ -20,11 +19,8 @@ run(int argc, char **argv)
     // No simulations here. The shared flags that loops such as
     // reproduce_all.sh pass every harness (--jobs and the scale flags)
     // are accepted; a flag that asks for runs or their reports is not.
-    const bench::BenchArgs a = bench::BenchArgs::parse(argc, argv);
-    if (!a.only.empty() || a.preserve || a.lint || a.journal ||
-        a.metrics || !a.perfettoPath.empty() || !a.statsJsonPath.empty())
-        HINTM_FATAL("table2_config simulates nothing: it takes only "
-                    "--jobs and the scale flags");
+    bench::BenchArgs args;
+    args.parse(argc, argv, bench::flags::Scale | bench::flags::Jobs);
     std::cout << "== Table II: simulation parameters ==\n\n";
     for (htm::HtmKind kind :
          {htm::HtmKind::P8, htm::HtmKind::P8S, htm::HtmKind::L1TM,

@@ -14,20 +14,24 @@ namespace hintm
 namespace sim
 {
 
-namespace
-{
-
 std::string
 jsonEscape(const std::string &s)
 {
     std::string out;
-    for (char c : s) {
+    for (const char c : s) {
+        if (c == '\n') {
+            out += "\\n";
+            continue;
+        }
         if (c == '"' || c == '\\')
             out += '\\';
         out += c;
     }
     return out;
 }
+
+namespace
+{
 
 std::string
 hexAddr(Addr a)

@@ -23,6 +23,10 @@ namespace hintm
 namespace sim
 {
 
+/** @p s as the body of a JSON string: quotes, backslashes and newlines
+ * escaped. */
+std::string jsonEscape(const std::string &s);
+
 /** One run to export, with the labels the JSON consumers key on. */
 struct JournalRun
 {

@@ -427,3 +427,11 @@ TEST(JournalIo, DefaultIntervalWindowIsSane)
     EXPECT_GE(5'000'000u / w, 10u); // enough windows to plot
     EXPECT_LE(5'000'000u / w, 1000u);
 }
+
+TEST(JournalIo, JsonEscapeQuotesBackslashesAndNewlines)
+{
+    // The exporters and hintm_explore --json escape through this one
+    // function, so a multi-line string still yields valid JSON.
+    EXPECT_EQ(sim::jsonEscape("racy_read:0:1"), "racy_read:0:1");
+    EXPECT_EQ(sim::jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+}

@@ -14,17 +14,18 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_util.hh"
 #include "common/cli.hh"
 #include "common/logging.hh"
 #include "core/hintm.hh"
 #include "sim/explorer.hh"
+#include "sim/journal_io.hh"
 #include "sim/schedule.hh"
 #include "sim/trace_check.hh"
 #include "workloads/workloads.hh"
@@ -34,40 +35,28 @@ using namespace hintm;
 namespace
 {
 
-[[noreturn]] void
-usage()
-{
-    std::printf(
-        "usage: hintm_explore [options]\n"
-        "  --workload NAME     convoy | hintrace (default convoy)\n"
-        "  --scale S           tiny | small | large (default tiny)\n"
-        "  --tiny|--small|--large   shorthand for --scale S\n"
-        "  --threads N         override the workload's thread count\n"
-        "  --seed N            RNG seed (default 1)\n"
-        "  --retries N         transient-abort retries (default 2 — low,\n"
-        "                      so the fallback lock sees traffic)\n"
-        "  --bug               seeded-bug variant: a wrong safe hint\n"
-        "                      (hintrace) or lazy lock subscription "
-        "(convoy)\n"
-        "  --preemption-bound N  max preemptions per schedule (default 1)\n"
-        "  --max-schedules N   hard cap on schedules run (default 4096)\n"
-        "  --livelock-threshold N  consecutive aborted attempts that\n"
-        "                      count as a convoy warning (default 8)\n"
-        "  --no-dpor           disable the independence filter (naive\n"
-        "                      enumeration; for pruning comparisons)\n"
-        "  --no-final-state    skip the final-memory determinism check\n"
-        "                      (forced off for hintrace: its final state\n"
-        "                      is legitimately schedule-dependent)\n"
-        "  --schedule-out FILE write the first fatal violation's "
-        "schedule\n"
-        "  --replay FILE       run one recorded schedule and re-check it\n"
-        "  --json [FILE]       machine-readable report (default stdout)\n"
-        "  --list              list explorable workloads and exit\n"
-        "\n"
-        "exit status: 0 = no fatal violation, 1 = fatal violation found,\n"
-        "2 = bad flag, bad input or I/O error\n");
-    std::exit(0);
-}
+constexpr const char *ownHelp =
+    "  --bug               seeded-bug variant: a wrong safe hint\n"
+    "                      (hintrace) or lazy lock subscription "
+    "(convoy)\n"
+    "  --preemption-bound N  max preemptions per schedule (default 1)\n"
+    "  --max-schedules N   hard cap on schedules run (default 4096)\n"
+    "  --livelock-threshold N  consecutive aborted attempts that\n"
+    "                      count as a convoy warning (default 8)\n"
+    "  --no-dpor           disable the independence filter (naive\n"
+    "                      enumeration; for pruning comparisons)\n"
+    "  --no-final-state    skip the final-memory determinism check\n"
+    "                      (forced off for hintrace: its final state\n"
+    "                      is legitimately schedule-dependent)\n"
+    "  --schedule-out FILE write the first fatal violation's "
+    "schedule\n"
+    "  --replay FILE       run one recorded schedule and re-check it\n"
+    "  --json [FILE]       machine-readable report (default stdout)\n"
+    "\n"
+    "workloads: convoy | hintrace. The retries default is low so the\n"
+    "fallback lock sees traffic.\n"
+    "exit status: 0 = no fatal violation, 1 = fatal violation found,\n"
+    "2 = bad flag, bad input or I/O error\n";
 
 /** Everything needed to rebuild a run from a schedule file. */
 struct Setup
@@ -150,22 +139,6 @@ makeConfig(const Setup &s)
     return cfg;
 }
 
-std::string
-jsonEscape(const std::string &in)
-{
-    std::string out;
-    for (const char c : in) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out += c;
-    }
-    return out;
-}
-
 void
 writeJson(std::ostream &os, const Setup &s,
           const sim::ExploreOptions &opt, const sim::ExploreReport &rep)
@@ -188,7 +161,7 @@ writeJson(std::ostream &os, const Setup &s,
            << (is.violation.fatal ? "true" : "false") << ", \"plan\": [";
         for (std::size_t p = 0; p < is.plan.size(); ++p)
             os << (p ? "," : "") << is.plan[p];
-        os << "], \"detail\": \"" << jsonEscape(is.violation.detail)
+        os << "], \"detail\": \"" << sim::jsonEscape(is.violation.detail)
            << "\"}";
     }
     os << (rep.issues.empty() ? "" : "\n  ") << "]\n}\n";
@@ -247,57 +220,49 @@ run(int argc, char **argv)
     std::string scheduleOut, replayPath, jsonPath;
     bool json = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                HINTM_FATAL(a, " needs a value");
-            return argv[++i];
-        };
-        if (a == "--workload") {
-            s.workload = next();
-        } else if (a == "--scale") {
-            const std::string v = next();
-            if (!workloads::scaleByName(v, s.scale))
-                HINTM_FATAL("--scale expects tiny, small or large, got '",
-                            v, "'");
-        } else if (a == "--tiny" || a == "--small" || a == "--large") {
-            workloads::scaleByName(a.substr(2), s.scale);
-        } else if (a == "--threads") {
-            s.threads = parseFlag<unsigned>(a, next());
-        } else if (a == "--seed") {
-            s.seed = parseFlag(a, next());
-        } else if (a == "--retries") {
-            s.retries = parseFlag<unsigned>(a, next());
-        } else if (a == "--bug") {
+    // Setup's defaults, which --replay also starts from, are the presets.
+    bench::BenchArgs args;
+    args.only = {s.workload};
+    args.scale = s.scale;
+    args.seed = s.seed;
+    args.retries = s.retries;
+    using namespace bench::flags;
+    const auto own = [&](const std::string &a, bench::FlagValues &v) {
+        if (a == "--bug") {
             s.bug = true;
         } else if (a == "--preemption-bound") {
-            opt.preemptionBound = parseFlag<unsigned>(a, next());
+            opt.preemptionBound = parseFlag<unsigned>(a, v.next());
         } else if (a == "--max-schedules") {
-            opt.maxSchedules = parseFlag(a, next());
+            opt.maxSchedules = parseFlag(a, v.next());
         } else if (a == "--livelock-threshold") {
-            opt.livelockThreshold = parseFlag<unsigned>(a, next());
+            opt.livelockThreshold = parseFlag<unsigned>(a, v.next());
         } else if (a == "--no-dpor") {
             opt.dpor = false;
         } else if (a == "--no-final-state") {
             opt.compareFinalState = false;
         } else if (a == "--schedule-out") {
-            scheduleOut = next();
+            scheduleOut = v.next();
         } else if (a == "--replay") {
-            replayPath = next();
+            replayPath = v.next();
         } else if (a == "--json") {
             json = true;
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                jsonPath = argv[++i];
-        } else if (a == "--list") {
-            std::printf("convoy\nhintrace\n");
-            return 0;
-        } else if (a == "--help" || a == "-h") {
-            usage();
+            jsonPath = v.next("");
         } else {
-            HINTM_FATAL("unknown option ", a, " (see --help)");
+            return false;
         }
+        return true;
+    };
+    args.parse(argc, argv, Workload | Scale | Threads | Seed | Retries | List,
+               {ownHelp, own});
+    if (args.list) {
+        std::printf("convoy\nhintrace\n");
+        return 0;
     }
+    s.workload = args.only.front();
+    s.scale = args.scale;
+    s.threads = args.threads;
+    s.seed = args.seed;
+    s.retries = args.retries;
 
     if (!replayPath.empty())
         return replay(replayPath);

@@ -18,7 +18,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
@@ -35,22 +34,12 @@ using namespace hintm;
 namespace
 {
 
-[[noreturn]] void
-usage()
-{
-    std::printf(
-        "usage: hintm_lint [options]\n"
-        "  --workload NAME     lint a single workload (default: all)\n"
-        "  --scale S           tiny | small | large (default tiny)\n"
-        "  --tiny              shorthand for --scale tiny\n"
-        "  --static-only       skip the dynamic-oracle simulation\n"
-        "  --mutate            corrupt hints on purpose and show which\n"
-        "                      side catches it (does not affect exit "
-        "code)\n"
-        "  --seed N            seed for --mutate bit selection\n"
-        "  --list              list workloads and exit\n");
-    std::exit(0);
-}
+constexpr const char *ownHelp =
+    "  --static-only       skip the dynamic-oracle simulation\n"
+    "  --mutate            corrupt hints on purpose and show which\n"
+    "                      side catches it (does not affect exit "
+    "code;\n"
+    "                      --seed picks the corrupted bits)\n";
 
 /** Candidate hint bit to corrupt: a currently-unsafe access. */
 struct FlipSite
@@ -163,55 +152,33 @@ mutateWorkload(const std::string &name, workloads::Scale scale,
 static int
 run(int argc, char **argv)
 {
-    std::string workload;
-    workloads::Scale scale = workloads::Scale::Tiny;
+    bench::BenchArgs args;
+    args.scale = workloads::Scale::Tiny;
     bool static_only = false;
     bool mutate = false;
-    std::uint64_t seed = 1;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                HINTM_FATAL(a, " needs a value");
-            return argv[++i];
-        };
-        if (a == "--workload") {
-            workload = next();
-        } else if (a == "--scale") {
-            const std::string v = next();
-            if (!workloads::scaleByName(v, scale))
-                HINTM_FATAL("--scale expects tiny, small or large, got '",
-                            v, "'");
-        } else if (a == "--tiny") {
-            scale = workloads::Scale::Tiny;
-        } else if (a == "--static-only") {
+    using namespace bench::flags;
+    const auto own = [&](const std::string &a, bench::FlagValues &) {
+        if (a == "--static-only")
             static_only = true;
-        } else if (a == "--mutate") {
+        else if (a == "--mutate")
             mutate = true;
-        } else if (a == "--seed") {
-            seed = parseFlag(a, next());
-        } else if (a == "--list") {
-            for (const auto &n : workloads::allNames())
-                std::printf("%s\n", n.c_str());
-            return 0;
-        } else if (a == "--help" || a == "-h") {
-            usage();
-        } else {
-            HINTM_FATAL("unknown option ", a, " (see --help)");
-        }
+        else
+            return false;
+        return true;
+    };
+    args.parse(argc, argv, Workload | Scale | Seed | List, {ownHelp, own});
+    if (args.list) {
+        for (const auto &n : workloads::allNames())
+            std::printf("%s\n", n.c_str());
+        return 0;
     }
-
-    std::vector<std::string> names;
-    if (!workload.empty())
-        names.push_back(workload);
-    else
-        names = workloads::allNames();
+    const std::vector<std::string> names = args.names();
 
     if (mutate) {
         unsigned caught = 0, total = 0;
         for (const auto &n : names)
-            mutateWorkload(n, scale, seed, caught, total);
+            mutateWorkload(n, args.scale, args.seed, caught, total);
         std::printf("\nmutation: %u/%u corrupted hints caught\n", caught,
                     total);
         return 0;
@@ -219,7 +186,7 @@ run(int argc, char **argv)
 
     unsigned diags = 0, witnesses = 0;
     for (const auto &n : names) {
-        const LintOutcome o = lintWorkload(n, scale, !static_only);
+        const LintOutcome o = lintWorkload(n, args.scale, !static_only);
         diags += o.staticDiags;
         witnesses += o.oracleWitnesses;
     }

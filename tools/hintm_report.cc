@@ -18,7 +18,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -39,30 +38,11 @@ using namespace hintm;
 namespace
 {
 
-[[noreturn]] void
-usage()
-{
-    std::printf(
-        "usage: hintm_report [options]\n"
-        "  --workload NAME     workload to analyze (default intruder)\n"
-        "  --scale S           tiny | small | large (default small)\n"
-        "  --tiny|--small|--large   shorthand for --scale S\n"
-        "  --htm KIND          p8 | p8s | l1tm | infcap (default p8)\n"
-        "  --threads N         build the workload for N threads "
-        "(same as --workload NAME@N)\n"
-        "  --seed N            RNG seed (default 1)\n"
-        "  --retries N         transient-abort retries (default 8)\n"
-        "  --buffer N          TX buffer entries (default 64; small "
-        "values provoke capacity pressure)\n"
-        "  --preabort          convert capacity overflows to critical "
-        "sections\n"
-        "  --top N             sites in the pressure ranking "
-        "(default 10)\n"
-        "  --html              write a self-contained HTML report\n"
-        "  -o FILE             output file (default: stdout)\n"
-        "  --jobs N            host threads for the runner\n");
-    std::exit(0);
-}
+constexpr const char *ownHelp =
+    "  --top N             sites in the pressure ranking "
+    "(default 10)\n"
+    "  --html              write a self-contained HTML report\n"
+    "  -o|--output FILE    output file (default: stdout)\n";
 
 /** One report table, renderable as text or HTML. */
 struct Section
@@ -168,61 +148,30 @@ fixed1(double v)
 static int
 run(int argc, char **argv)
 {
-    std::string workload = "intruder";
-    workloads::Scale scale = workloads::Scale::Small;
-    core::SystemOptions base;
-    unsigned threads = 0; // 0 = the workload's own thread count
-    unsigned host_jobs = 0;
+    bench::BenchArgs args;
+    args.only = {"intruder"};
     std::size_t top_n = 10;
     bool html = false;
     std::string outPath;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                HINTM_FATAL(a, " needs a value");
-            return argv[++i];
-        };
-        if (a == "--workload") {
-            workload = next();
-        } else if (a == "--scale") {
-            const std::string v = next();
-            if (!workloads::scaleByName(v, scale))
-                HINTM_FATAL("--scale expects tiny, small or large, got '",
-                            v, "'");
-        } else if (a == "--tiny" || a == "--small" || a == "--large") {
-            workloads::scaleByName(a.substr(2), scale);
-        } else if (a == "--htm") {
-            const std::string v = next();
-            if (!htm::htmKindByName(v, base.htmKind))
-                HINTM_FATAL("--htm expects p8, p8s, l1tm or infcap, got '",
-                            v, "'");
-        } else if (a == "--threads") {
-            threads = parseFlag<unsigned>(a, next());
-        } else if (a == "--seed") {
-            base.seed = parseFlag(a, next());
-        } else if (a == "--retries") {
-            base.maxRetries = parseFlag<unsigned>(a, next());
-        } else if (a == "--buffer") {
-            base.bufferEntries = parseFlag<unsigned>(a, next());
-        } else if (a == "--preabort") {
-            base.preAbortHandler = true;
-        } else if (a == "--top") {
-            top_n = parseFlag<std::size_t>(a, next());
-        } else if (a == "--html") {
+    using namespace bench::flags;
+    const auto own = [&](const std::string &a, bench::FlagValues &v) {
+        if (a == "--top")
+            top_n = parseFlag<std::size_t>(a, v.next());
+        else if (a == "--html")
             html = true;
-        } else if (a == "-o" || a == "--output") {
-            outPath = next();
-        } else if (a == "--jobs") {
-            host_jobs = parseFlag<unsigned>(a, next());
-        } else if (a == "--help" || a == "-h") {
-            usage();
-        } else {
-            HINTM_FATAL("unknown option ", a, " (see --help)");
-        }
-    }
+        else if (a == "-o" || a == "--output")
+            outPath = v.next();
+        else
+            return false;
+        return true;
+    };
+    args.parse(argc, argv,
+               Workload | Scale | Htm | Threads | Seed | Retries | Buffer |
+                   Preabort | Jobs,
+               {ownHelp, own});
 
+    core::SystemOptions base = args.options();
     base.journal = true;
     base.metrics = true;
 
@@ -231,11 +180,12 @@ run(int argc, char **argv)
     core::SystemOptions full = base;
     full.mechanism = core::Mechanism::Full;
 
-    const bench::PreparedWorkload p = bench::prepare(workload, scale, threads);
+    const bench::PreparedWorkload p =
+        bench::prepare(args.only.front(), args.scale, args.threads);
 
     const std::vector<bench::MatrixJob> jobs = {{&p, baseline}, {&p, full}};
     const std::vector<sim::RunResult> results =
-        bench::runMatrix(jobs, host_jobs);
+        bench::runMatrix(jobs, args.jobs);
     const sim::RunResult &rb = results[0];
     const sim::RunResult &rf = results[1];
     HINTM_ASSERT(rb.journal && rb.metrics && rf.journal && rf.metrics,

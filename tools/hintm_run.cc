@@ -13,7 +13,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "bench_util.hh"
@@ -30,95 +29,43 @@ using namespace hintm;
 namespace
 {
 
-[[noreturn]] void
-usage()
-{
-    std::printf(
-        "usage: hintm_run [options]\n"
-        "  --workload NAME     workload to run (--list to enumerate; "
-        "default kmeans)\n"
-        "  --scale S           tiny | small | large (default small)\n"
-        "  --tiny|--small|--large   shorthand for --scale S\n"
-        "  --htm KIND          p8 | p8s | l1tm | infcap (default p8)\n"
-        "  --mech M            baseline | static | dyn | full "
-        "(default full)\n"
-        "  --threads N         build the workload for N threads "
-        "(same as --workload NAME@N)\n"
-        "  --cores N           physical cores (default 8)\n"
-        "  --smt N             hardware contexts per core (default 1)\n"
-        "  --seed N            RNG seed (default 1)\n"
-        "  --buffer N          TX buffer entries (default 64)\n"
-        "  --signature N       signature bits for p8s (default 1024)\n"
-        "  --retries N         transient-abort retries (default 8)\n"
-        "  --preserve          preserve-read-only page policy\n"
-        "  --notary            honor programmer page annotations\n"
-        "  --preabort          convert capacity overflows to critical "
-        "sections\n"
-        "  --policy P          conflict loser: attacker | requester\n"
-        "  --validate          check safe-store initializing property\n"
-        "  --profile           collect Fig.1-style sharing metrics\n"
-        "  --cdf               collect TX footprint CDFs\n"
-        "  --stats             dump raw memory/VM statistics\n"
-        "  --lint              run the static race-lint pass after hint\n"
-        "                      compilation; abort on any diagnostic\n"
-        "  --oracle            shadow-track safe accesses and report\n"
-        "                      conflicting remote writes (observation "
-        "only)\n"
-        "  --journal           record every TX attempt (observation "
-        "only)\n"
-        "  --metrics           collect capacity-pressure metrics "
-        "(observation only)\n"
-        "  --journal-capacity N  journal ring size in records "
-        "(default 65536)\n"
-        "  --perfetto [FILE]   write a Chrome-trace timeline (implies\n"
-        "                      --journal; default perfetto_trace.json)\n"
-        "  --stats-json [FILE] write a machine-readable stats record\n"
-        "                      (default stats.json)\n"
-        "  --numa-nodes N      two-tier NUMA latency model with N home "
-        "nodes (default 1 = flat)\n"
-        "  --numa-latency N    extra cycles for a remote-home bus "
-        "transaction (default 24)\n"
-        "  --trace CATS        trace categories (tx,vm,sched,journal|all)\n"
-        "  --list              list workloads and exit\n");
-    std::exit(0);
-}
+constexpr const char *ownHelp =
+    "  --mech M            baseline | static | dyn | full "
+    "(default full)\n"
+    "  --cores N           physical cores (default 8)\n"
+    "  --smt N             hardware contexts per core (default 1)\n"
+    "  --signature N       signature bits for p8s (default 1024)\n"
+    "  --notary            honor programmer page annotations\n"
+    "  --policy P          conflict loser: attacker | requester\n"
+    "  --validate          check safe-store initializing property\n"
+    "  --profile           collect Fig.1-style sharing metrics\n"
+    "  --cdf               collect TX footprint CDFs\n"
+    "  --stats             dump raw memory/VM statistics\n"
+    "  --oracle            shadow-track safe accesses and report\n"
+    "                      conflicting remote writes (observation "
+    "only)\n"
+    "  --journal-capacity N  journal ring size in records "
+    "(default 65536; implies --journal)\n"
+    "  --numa-nodes N      two-tier NUMA latency model with N home "
+    "nodes (default 1 = flat)\n"
+    "  --numa-latency N    extra cycles for a remote-home bus "
+    "transaction (default 24)\n"
+    "  --trace CATS        trace categories (tx,vm,sched,journal|all)\n";
 
 } // namespace
 
 static int
 run(int argc, char **argv)
 {
-    std::string workload = "kmeans";
-    workloads::Scale scale = workloads::Scale::Small;
+    bench::BenchArgs args;
+    args.only = {"kmeans"};
     core::SystemOptions opts;
     opts.mechanism = core::Mechanism::Full;
-    unsigned threads = 0; // 0 = the workload's own thread count
-    bool profile = false, cdf = false, stats = false, lint = false;
-    std::string perfettoPath, statsJsonPath;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                HINTM_FATAL(a, " needs a value");
-            return argv[++i];
-        };
-        if (a == "--workload") {
-            workload = next();
-        } else if (a == "--scale") {
-            const std::string v = next();
-            if (!workloads::scaleByName(v, scale))
-                HINTM_FATAL("--scale expects tiny, small or large, got '",
-                            v, "'");
-        } else if (a == "--tiny" || a == "--small" || a == "--large") {
-            workloads::scaleByName(a.substr(2), scale);
-        } else if (a == "--htm") {
-            const std::string v = next();
-            if (!htm::htmKindByName(v, opts.htmKind))
-                HINTM_FATAL("--htm expects p8, p8s, l1tm or infcap, got '",
-                            v, "'");
-        } else if (a == "--mech") {
-            const std::string s = next();
+    using namespace bench::flags;
+    const auto own = [&](const std::string &a, bench::FlagValues &v) {
+        if (a == "--mech") {
+            const std::string s = v.next();
             if (s == "baseline")
                 opts.mechanism = core::Mechanism::Baseline;
             else if (s == "static")
@@ -130,94 +77,67 @@ run(int argc, char **argv)
             else
                 HINTM_FATAL("--mech expects baseline, static, dyn or full, "
                             "got '", s, "'");
-        } else if (a == "--threads") {
-            threads = parseFlag<unsigned>(a, next());
         } else if (a == "--cores") {
-            opts.numCores = parseFlag<unsigned>(a, next());
+            opts.numCores = parseFlag<unsigned>(a, v.next());
             if (opts.numCores == 0)
                 HINTM_FATAL("--cores expects at least 1 core, got 0");
         } else if (a == "--smt") {
-            opts.smtPerCore = parseFlag<unsigned>(a, next());
-        } else if (a == "--seed") {
-            opts.seed = parseFlag(a, next());
-        } else if (a == "--buffer") {
-            opts.bufferEntries = parseFlag<unsigned>(a, next());
+            opts.smtPerCore = parseFlag<unsigned>(a, v.next());
         } else if (a == "--signature") {
-            opts.signatureBits = parseFlag<unsigned>(a, next());
+            opts.signatureBits = parseFlag<unsigned>(a, v.next());
             if (!isPowerOfTwo(opts.signatureBits))
                 HINTM_FATAL("--signature expects a power of two, got ",
                             opts.signatureBits);
-        } else if (a == "--retries") {
-            opts.maxRetries = parseFlag<unsigned>(a, next());
-        } else if (a == "--preserve") {
-            opts.preserveReadOnly = true;
         } else if (a == "--notary") {
             opts.notaryAnnotations = true;
-        } else if (a == "--preabort") {
-            opts.preAbortHandler = true;
         } else if (a == "--policy") {
-            const std::string s = next();
+            const std::string s = v.next();
             if (s == "attacker")
                 opts.conflictPolicy = htm::ConflictPolicy::AttackerWins;
             else if (s == "requester")
-                opts.conflictPolicy =
-                    htm::ConflictPolicy::RequesterLoses;
+                opts.conflictPolicy = htm::ConflictPolicy::RequesterLoses;
             else
                 HINTM_FATAL("--policy expects attacker or requester, got '",
                             s, "'");
         } else if (a == "--validate") {
             opts.validateSafeStores = true;
         } else if (a == "--profile") {
-            profile = true;
+            opts.profileSharing = true;
         } else if (a == "--cdf") {
-            cdf = true;
+            opts.collectTxSizes = true;
         } else if (a == "--stats") {
-            stats = true;
-        } else if (a == "--lint") {
-            lint = true;
+            opts.collectRawStats = true;
         } else if (a == "--oracle") {
             opts.hintOracle = true;
-        } else if (a == "--journal") {
-            opts.journal = true;
-        } else if (a == "--metrics") {
-            opts.metrics = true;
         } else if (a == "--journal-capacity") {
-            opts.journalCapacity = parseFlag<std::size_t>(a, next());
-            opts.journal = true;
-        } else if (a == "--perfetto") {
-            perfettoPath = "perfetto_trace.json";
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                perfettoPath = argv[++i];
-            opts.journal = true; // a timeline needs records
-        } else if (a == "--stats-json") {
-            statsJsonPath = "stats.json";
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                statsJsonPath = argv[++i];
+            opts.journalCapacity = parseFlag<std::size_t>(a, v.next());
+            args.journal = true;
         } else if (a == "--numa-nodes") {
-            opts.numaNodes = parseFlag<unsigned>(a, next());
+            opts.numaNodes = parseFlag<unsigned>(a, v.next());
         } else if (a == "--numa-latency") {
-            opts.numaRemoteLatency = parseFlag<Cycle>(a, next());
+            opts.numaRemoteLatency = parseFlag<Cycle>(a, v.next());
         } else if (a == "--trace") {
-            trace::enableFromSpec(next());
-        } else if (a == "--list") {
-            for (const auto &n : workloads::allNames())
-                std::printf("%s\n", n.c_str());
-            return 0;
-        } else if (a == "--help" || a == "-h") {
-            usage();
+            trace::enableFromSpec(v.next());
         } else {
-            HINTM_FATAL("unknown option ", a, " (see --help)");
+            return false;
         }
+        return true;
+    };
+    args.parse(argc, argv,
+               Workload | Scale | Htm | Threads | Seed | Retries | Buffer |
+                   Preserve | Preabort | Lint | Journal | Metrics |
+                   Perfetto | StatsJson | List,
+               {ownHelp, own});
+    if (args.list) {
+        for (const auto &n : workloads::allNames())
+            std::printf("%s\n", n.c_str());
+        return 0;
     }
-    if (workload.empty())
-        HINTM_FATAL("--workload needs a workload name");
 
-    opts.profileSharing = profile;
-    opts.collectTxSizes = cdf;
-    opts.collectRawStats = stats;
+    opts = args.options(opts);
 
-    const bench::PreparedWorkload p =
-        bench::prepare(workload, scale, threads, lint);
+    const bench::PreparedWorkload p = bench::prepare(
+        args.only.front(), args.scale, args.threads, args.lint);
     const workloads::Workload &wl = p.wl;
 
     std::printf("workload   : %s (%u threads)\n", wl.name.c_str(),
@@ -270,7 +190,7 @@ run(int argc, char **argv)
                 r.cycles ? 100.0 * double(r.pageModeOverheadCycles) /
                                (double(r.cycles) * wl.threads)
                          : 0);
-    if (profile) {
+    if (opts.profileSharing) {
         std::printf(
             "sharing (Fig.1)   : safe pages %.1f%%, safe blocks %.1f%%, "
             "safe tx-reads %.1f%% (pg) / %.1f%% (blk)\n",
@@ -279,7 +199,7 @@ run(int argc, char **argv)
             100 * r.pageSharing.safeTxReadFraction(),
             100 * r.blockSharing.safeTxReadFraction());
     }
-    if (cdf) {
+    if (opts.collectTxSizes) {
         std::printf("footprint CDF     : <=64 blocks: baseline %.1f%%, "
                     "no-static %.1f%%, unsafe-only %.1f%%\n",
                     100 * r.txSizeAll.cdfAt(64),
@@ -308,13 +228,14 @@ run(int argc, char **argv)
     }
     if (r.metrics)
         std::printf("%s", sim::metricsSummary(r).c_str());
-    bench::writeExports(perfettoPath, statsJsonPath,
+    bench::writeExports(args.perfettoPath, args.statsJsonPath,
                         {{wl.name, opts.label(), wl.threads, &r}});
-    if (!perfettoPath.empty())
-        std::printf("perfetto trace    : %s\n", perfettoPath.c_str());
-    if (!statsJsonPath.empty())
-        std::printf("stats json        : %s\n", statsJsonPath.c_str());
-    if (stats) {
+    if (!args.perfettoPath.empty())
+        std::printf("perfetto trace    : %s\n", args.perfettoPath.c_str());
+    if (!args.statsJsonPath.empty())
+        std::printf("stats json        : %s\n",
+                    args.statsJsonPath.c_str());
+    if (opts.collectRawStats) {
         std::printf("\n-- raw statistics --\n%s", r.rawStats.c_str());
     }
     return opts.hintOracle && !r.oracleWitnesses.empty() ? 1 : 0;
